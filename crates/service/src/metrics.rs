@@ -1067,131 +1067,4 @@ mod tests {
             .sum();
         assert_eq!(total, 2);
     }
-
-    /// Asserts `text` is valid Prometheus text exposition: every sample's
-    /// family has exactly one preceding `# HELP` and `# TYPE`, histogram
-    /// samples use only `_bucket`/`_sum`/`_count` suffixes, and sample lines
-    /// parse as `name{labels} value`.
-    fn assert_valid_exposition(text: &str) {
-        use std::collections::{HashMap, HashSet};
-        let mut helped: HashSet<String> = HashSet::new();
-        let mut typed: HashMap<String, String> = HashMap::new();
-        for line in text.lines() {
-            assert!(!line.trim().is_empty(), "blank line in exposition");
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let name = rest.split(' ').next().unwrap().to_string();
-                assert!(helped.insert(name.clone()), "duplicate HELP for {name}");
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut parts = rest.split(' ');
-                let name = parts.next().unwrap().to_string();
-                let kind = parts.next().expect("TYPE line missing kind").to_string();
-                assert!(
-                    matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
-                    "bad TYPE kind {kind} for {name}"
-                );
-                assert!(
-                    helped.contains(&name),
-                    "TYPE before HELP (or missing HELP) for {name}"
-                );
-                assert!(
-                    typed.insert(name.clone(), kind).is_none(),
-                    "duplicate TYPE for {name}"
-                );
-                continue;
-            }
-            assert!(!line.starts_with('#'), "unknown comment line: {line}");
-            // Sample line: name[{labels}] value
-            let (series, value) = line.rsplit_once(' ').expect("sample missing value");
-            assert!(value.parse::<f64>().is_ok(), "unparseable value in {line}");
-            let name = series.split('{').next().unwrap();
-            assert!(
-                name.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-                "invalid metric name {name}"
-            );
-            if let Some(labels) = series
-                .split_once('{')
-                .map(|(_, rest)| rest.strip_suffix('}').expect("unterminated label set"))
-            {
-                for pair in labels.split(',') {
-                    let (key, val) = pair.split_once('=').expect("label without =");
-                    assert!(!key.is_empty() && val.starts_with('"') && val.ends_with('"'));
-                }
-            }
-            // Resolve the family: histogram suffixes strip to the declared
-            // family name, everything else must be declared verbatim.
-            let family = ["_bucket", "_sum", "_count"]
-                .iter()
-                .find_map(|suffix| {
-                    name.strip_suffix(suffix)
-                        .filter(|base| typed.get(*base).map(String::as_str) == Some("histogram"))
-                })
-                .unwrap_or(name);
-            let kind = typed
-                .get(family)
-                .unwrap_or_else(|| panic!("sample {name} has no TYPE"));
-            assert!(helped.contains(family), "sample {name} has no HELP");
-            if kind == "histogram" {
-                assert_ne!(
-                    name, family,
-                    "histogram family {family} sampled without a suffix"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn metrics_page_is_valid_prometheus_exposition() {
-        // Exactly the concatenation `GET /metrics` serves, cluster mode on.
-        let service = ServiceMetrics::new();
-        service.requests.fetch_add(2, Ordering::Relaxed);
-        service.record_latency(Duration::from_millis(3));
-        service.observe_endpoint_micros("/v1/search", 3_000);
-        service.observe_stage_micros("solve", 2_000);
-        let transport = TransportMetrics::new();
-        transport.connections_open.fetch_add(1, Ordering::Relaxed);
-        transport.admission_shed.fetch_add(2, Ordering::Relaxed);
-        transport.admission_wait.observe_micros(1_500);
-        let cluster = ClusterMetrics::new();
-        cluster.remote_hits.fetch_add(4, Ordering::Relaxed);
-        // The sampler's ring-derived gauges join the page too.
-        let timeseries =
-            tessel_obs::TimeSeries::new(&["requests_per_s", "cache_hit_ratio"], 8, 1000);
-        timeseries.push(1_700_000_000_000, &[2.0, 0.5]);
-        let mut sampled = String::new();
-        timeseries.render_prometheus(&mut sampled);
-        let page = format!(
-            "{}{}{}{}{}{}",
-            service.snapshot(0, 0).render_prometheus(),
-            service.render_histograms(),
-            transport.snapshot().render_prometheus(),
-            transport.render_admission_wait(),
-            cluster.snapshot(2, 2, 0).render_prometheus(),
-            sampled
-        );
-        assert!(page.contains("tessel_admission_shed_total 2"));
-        assert!(page.contains("tessel_admission_queue_depth 0"));
-        assert!(page.contains("tessel_admission_wait_seconds_count 1"));
-        assert!(page.contains("tessel_timeseries_last{series=\"requests_per_s\"} 2"));
-        assert_valid_exposition(&page);
-    }
-
-    #[test]
-    fn exposition_validator_rejects_malformed_pages() {
-        let ok = "# HELP m_total h\n# TYPE m_total counter\nm_total 1\n";
-        assert_valid_exposition(ok);
-        for bad in [
-            "m_total 1\n",                   // no HELP/TYPE
-            "# HELP m_total h\nm_total 1\n", // no TYPE
-            "# HELP m_total h\n# HELP m_total h\n# TYPE m_total counter\nm_total 1\n",
-            "# HELP m_total h\n# TYPE m_total counter\nm_total one\n",
-        ] {
-            assert!(
-                std::panic::catch_unwind(|| assert_valid_exposition(bad)).is_err(),
-                "validator accepted: {bad:?}"
-            );
-        }
-    }
 }
