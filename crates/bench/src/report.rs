@@ -454,9 +454,9 @@ pub struct ServiceThroughputRow {
     pub seconds: f64,
     /// Requests per second.
     pub requests_per_sec: f64,
-    /// Median request latency in milliseconds (histogram bucket bound).
+    /// Median request latency in milliseconds (nearest rank).
     pub p50_ms: f64,
-    /// 99th-percentile request latency in milliseconds (bucket bound).
+    /// 99th-percentile request latency in milliseconds (nearest rank).
     pub p99_ms: f64,
 }
 
@@ -515,6 +515,7 @@ pub fn service_rows(repeats: usize) -> ServiceBenchResults {
         })
         .expect("service");
         let devices = placement.num_devices();
+        let mut latencies_ms = Vec::new();
         let started = Instant::now();
         for i in 0..repeats.max(1) {
             // Every other repeat rotates the device labels: those requests
@@ -526,22 +527,29 @@ pub fn service_rows(repeats: usize) -> ServiceBenchResults {
             } else {
                 placement.clone()
             };
-            service
-                .search(&SearchRequest::for_placement(variant))
-                .expect("search");
+            let request = SearchRequest::for_placement(variant);
+            let sent = Instant::now();
+            service.search(&request).expect("search");
+            latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
         }
         let seconds = started.elapsed().as_secs_f64();
-        let snapshot = service.metrics_snapshot();
+        latencies_ms.sort_by(f64::total_cmp);
+        let quantile = |q: f64| {
+            let rank = (q * latencies_ms.len() as f64).ceil() as usize;
+            latencies_ms[rank.clamp(1, latencies_ms.len()) - 1]
+        };
+        let metrics = service.metrics();
+        let requests = metrics.requests.get();
         rows.push(ServiceThroughputRow {
             workload: format!("{shape}-4dev-x{}-rotating", repeats.max(1)),
-            requests: snapshot.requests,
-            cache_hits: snapshot.cache_hits,
-            cache_misses: snapshot.cache_misses,
-            hit_rate: snapshot.hit_rate,
+            requests,
+            cache_hits: metrics.cache_hits.get(),
+            cache_misses: metrics.cache_misses.get(),
+            hit_rate: metrics.hit_rate(),
             seconds,
-            requests_per_sec: snapshot.requests as f64 / seconds.max(1e-9),
-            p50_ms: snapshot.latency_p50_ms,
-            p99_ms: snapshot.latency_p99_ms,
+            requests_per_sec: requests as f64 / seconds.max(1e-9),
+            p50_ms: quantile(0.50),
+            p99_ms: quantile(0.99),
         });
         // Drain this shape's flight records into the per-stage sample pools
         // before the service (and its recorder) is dropped.
@@ -655,8 +663,15 @@ pub fn transport_rows(requests: usize) -> Vec<TransportThroughputRow> {
 
     let requests = requests.max(1);
     let mut rows = Vec::new();
+    let transport = server.transport();
+    let counts = || {
+        (
+            transport.connections_accepted.get(),
+            transport.keepalive_reuses.get(),
+        )
+    };
 
-    let before = server.transport_snapshot();
+    let (accepted, reuses) = counts();
     let started = Instant::now();
     for _ in 0..requests {
         let (status, _) =
@@ -664,17 +679,16 @@ pub fn transport_rows(requests: usize) -> Vec<TransportThroughputRow> {
         assert_eq!(status, 200);
     }
     let seconds = started.elapsed().as_secs_f64();
-    let after = server.transport_snapshot();
     rows.push(TransportThroughputRow {
         workload: format!("http/v4-x{requests}/close-per-request"),
         requests: requests as u64,
         seconds,
         requests_per_sec: requests as f64 / seconds.max(1e-9),
-        connections: after.connections_accepted - before.connections_accepted,
-        keepalive_reuses: after.keepalive_reuses - before.keepalive_reuses,
+        connections: counts().0 - accepted,
+        keepalive_reuses: counts().1 - reuses,
     });
 
-    let before = server.transport_snapshot();
+    let (accepted, reuses) = counts();
     let mut client = HttpClient::new(&addr).expect("client");
     let started = Instant::now();
     for _ in 0..requests {
@@ -684,14 +698,13 @@ pub fn transport_rows(requests: usize) -> Vec<TransportThroughputRow> {
         assert_eq!(status, 200);
     }
     let seconds = started.elapsed().as_secs_f64();
-    let after = server.transport_snapshot();
     rows.push(TransportThroughputRow {
         workload: format!("http/v4-x{requests}/keepalive"),
         requests: requests as u64,
         seconds,
         requests_per_sec: requests as f64 / seconds.max(1e-9),
-        connections: after.connections_accepted - before.connections_accepted,
-        keepalive_reuses: after.keepalive_reuses - before.keepalive_reuses,
+        connections: counts().0 - accepted,
+        keepalive_reuses: counts().1 - reuses,
     });
 
     server.shutdown();

@@ -20,16 +20,18 @@
 //!   histograms. All recording calls are no-ops when no request context is
 //!   active, so library callers pay one thread-local read.
 //! * **Log-bucketed histograms** ([`Histogram`]): atomic fixed-bucket
-//!   duration histograms on a 1–2.5–5 ladder from 100µs to 60s, rendered as
-//!   real Prometheus `_bucket`/`_sum`/`_count` series
-//!   ([`render_prometheus_histogram`]).
+//!   duration histograms on a 1–2.5–5 ladder from 100µs to 60s.
+//! * **Instruments** ([`Metric`], [`HistogramFamily`], [`Desc`],
+//!   [`instruments!`]): counters, gauges and fixed-label histogram families
+//!   that own their series name, help text and Prometheus type and render
+//!   themselves in text exposition format, so each series is declared once.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{BuildHasher, Hasher};
 use std::io::Write;
 use std::str::FromStr;
@@ -517,44 +519,241 @@ impl Histogram {
     }
 }
 
-/// Appends one Prometheus histogram series to `out`: the
-/// `name_bucket{…le="…"}` ladder, then `name_sum` and `name_count`.
+// ---------------------------------------------------------------------------
+// Instruments
+// ---------------------------------------------------------------------------
+
+/// A metric family's identity: its name, help text and Prometheus type.
 ///
-/// `labels` is either empty or a `key="value"` list **without** the trailing
-/// comma (e.g. `endpoint="/v1/search"`); the `le` label is appended after it.
-/// The caller emits the family's `# HELP`/`# TYPE name histogram` header once
-/// before the first series.
-pub fn render_prometheus_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    histogram: &Histogram,
-) {
-    let cumulative = histogram.cumulative_counts();
-    let sep = if labels.is_empty() { "" } else { "," };
-    for (bound, count) in DURATION_BUCKET_BOUNDS_MICROS.iter().zip(&cumulative) {
-        let le = *bound as f64 / 1e6;
-        out.push_str(&format!(
-            "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {count}\n"
-        ));
+/// Series computed at scrape time (a cache's size, a ratio of two counters)
+/// are declared as a `Desc` and rendered with their value; stored series are
+/// [`Metric`]s and [`HistogramFamily`]s, which carry one.
+#[derive(Debug)]
+pub struct Desc {
+    name: &'static str,
+    help: &'static str,
+    /// The `# TYPE` keyword: `counter`, `gauge` or `histogram`.
+    kind: &'static str,
+}
+
+impl Desc {
+    /// A counter family: a value that only goes up.
+    #[must_use]
+    pub const fn counter(name: &'static str, help: &'static str) -> Self {
+        Desc {
+            name,
+            help,
+            kind: "counter",
+        }
     }
-    out.push_str(&format!(
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}\n",
-        cumulative[BUCKETS - 1]
-    ));
-    let suffix_labels = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
+
+    /// A gauge family: a value that moves both ways.
+    #[must_use]
+    pub const fn gauge(name: &'static str, help: &'static str) -> Self {
+        Desc {
+            name,
+            help,
+            kind: "gauge",
+        }
+    }
+
+    fn render_header(&self, out: &mut String) {
+        let Desc { name, help, kind } = self;
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    }
+
+    /// Appends the family's `# HELP`/`# TYPE` lines and one unlabeled
+    /// sample of `value` to `out`.
+    pub fn render(&self, out: &mut String, value: impl fmt::Display) {
+        self.render_header(out);
+        let _ = writeln!(out, "{} {value}", self.name);
+    }
+}
+
+/// A counter or gauge instrument: a [`Desc`] plus one `AtomicU64` updated
+/// with relaxed ordering.
+#[derive(Debug)]
+pub struct Metric {
+    desc: Desc,
+    value: AtomicU64,
+}
+
+impl Metric {
+    /// A zeroed counter.
+    #[must_use]
+    pub const fn counter(name: &'static str, help: &'static str) -> Self {
+        Metric {
+            desc: Desc::counter(name, help),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    /// A zeroed gauge.
+    #[must_use]
+    pub const fn gauge(name: &'static str, help: &'static str) -> Self {
+        Metric {
+            desc: Desc::gauge(name, help),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    /// The current value.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.value.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Subtracts one (gauges only).
+    pub fn dec(&self) {
+        self.value.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Replaces the value (gauges only).
+    pub fn set(&self, value: u64) {
+        self.value.store(value, Ordering::Relaxed);
+    }
+
+    /// Appends the family and its current value to `out`.
+    pub fn render(&self, out: &mut String) {
+        self.desc.render(out, self.get());
+    }
+}
+
+/// A histogram family with a fixed label set: one [`Histogram`] per
+/// declared value of its one label, so no request can mint a new series.
+#[derive(Debug)]
+pub struct HistogramFamily {
+    desc: Desc,
+    label: &'static str,
+    values: &'static [&'static str],
+    histograms: Vec<Histogram>,
+}
+
+impl HistogramFamily {
+    /// A family of one histogram per entry of `values`, told apart by the
+    /// label `label`.
+    #[must_use]
+    pub fn labeled(
+        name: &'static str,
+        help: &'static str,
+        label: &'static str,
+        values: &'static [&'static str],
+    ) -> Self {
+        HistogramFamily {
+            desc: Desc {
+                name,
+                help,
+                kind: "histogram",
+            },
+            label,
+            values,
+            histograms: values.iter().map(|_| Histogram::new()).collect(),
+        }
+    }
+
+    /// A family of one unlabeled histogram, addressed as the value `""`.
+    #[must_use]
+    pub fn unlabeled(name: &'static str, help: &'static str) -> Self {
+        Self::labeled(name, help, "", &[""])
+    }
+
+    /// Records one observation of `micros` microseconds under the label
+    /// value `value`. Returns `false`, recording nothing, when `value` is not
+    /// one of the family's declared values.
+    pub fn observe_micros(&self, value: &str, micros: u64) -> bool {
+        match self.values.iter().position(|&known| known == value) {
+            Some(index) => {
+                self.histograms[index].observe_micros(micros);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Appends the family in Prometheus text exposition format: the header,
+    /// then per label value the `_bucket{…le="…"}` ladder, `_sum` and
+    /// `_count`.
+    pub fn render(&self, out: &mut String) {
+        self.desc.render_header(out);
+        let name = self.desc.name;
+        for (value, histogram) in self.values.iter().zip(&self.histograms) {
+            let (labels, sep) = if self.label.is_empty() {
+                (String::new(), "")
+            } else {
+                (format!("{}=\"{value}\"", self.label), ",")
+            };
+            let cumulative = histogram.cumulative_counts();
+            let bounds = DURATION_BUCKET_BOUNDS_MICROS
+                .iter()
+                .map(|&b| b as f64 / 1e6);
+            for (le, count) in bounds.zip(&cumulative) {
+                let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {count}");
+            }
+            let total = cumulative[BUCKETS - 1];
+            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {total}");
+            let braced = if labels.is_empty() {
+                labels
+            } else {
+                format!("{{{labels}}}")
+            };
+            let _ = writeln!(out, "{name}_sum{braced} {}", histogram.sum_seconds());
+            let _ = writeln!(out, "{name}_count{braced} {total}");
+        }
+    }
+}
+
+/// Declares a struct of instruments, each named and described exactly
+/// once: a field's constructor call carries its series name and help text,
+/// and the help text doubles as the field's doc comment. Every field is
+/// `pub`; `Default` builds them all.
+///
+/// ```
+/// tessel_obs::instruments! {
+///     /// Demo counters.
+///     pub struct Demo {
+///         served: Metric::counter("demo_served_total", "Requests served."),
+///         waits: HistogramFamily::unlabeled("demo_wait_seconds", "Time spent waiting."),
+///     }
+/// }
+/// let demo = Demo::default();
+/// demo.served.inc();
+/// let mut page = String::new();
+/// demo.served.render(&mut page);
+/// assert!(page.starts_with("# HELP demo_served_total Requests served.\n"));
+/// assert!(page.ends_with("counter\ndemo_served_total 1\n"));
+/// ```
+#[macro_export]
+macro_rules! instruments {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $ty:ident::$ctor:ident($series:literal, $help:literal $(, $arg:expr)*),)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug)]
+        $vis struct $name {
+            $(#[doc = $help] pub $field: $crate::$ty,)*
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name {
+                    $($field: $crate::$ty::$ctor($series, $help $(, $arg)*),)*
+                }
+            }
+        }
     };
-    out.push_str(&format!(
-        "{name}_sum{suffix_labels} {}\n",
-        histogram.sum_seconds()
-    ));
-    out.push_str(&format!(
-        "{name}_count{suffix_labels} {}\n",
-        cumulative[BUCKETS - 1]
-    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -737,16 +936,15 @@ impl TimeSeries {
     ///
     /// Panics if the internal mutex is poisoned.
     pub fn render_prometheus(&self, out: &mut String) {
-        let inner = self.inner.lock().expect("timeseries lock");
-        out.push_str(
-            "# HELP tessel_timeseries_last Most recent live-plane sample per series.\n\
-             # TYPE tessel_timeseries_last gauge\n",
+        const LAST: Desc = Desc::gauge(
+            "tessel_timeseries_last",
+            "Most recent live-plane sample per series.",
         );
+        let inner = self.inner.lock().expect("timeseries lock");
+        LAST.render_header(out);
         for (name, ring) in inner.names.iter().zip(&inner.rings) {
             let last = ring.back().copied().unwrap_or(0.0);
-            out.push_str(&format!(
-                "tessel_timeseries_last{{series=\"{name}\"}} {last}\n"
-            ));
+            let _ = writeln!(out, "{}{{series=\"{name}\"}} {last}", LAST.name);
         }
     }
 }
@@ -826,18 +1024,56 @@ mod tests {
         assert_eq!(cumulative[0], 2);
         assert_eq!(*cumulative.last().unwrap(), 4);
         assert!((h.sum_seconds() - 120.15015).abs() < 1e-6);
+    }
 
+    #[test]
+    fn histogram_families_render_only_declared_label_values() {
+        let family =
+            HistogramFamily::labeled("tessel_test_seconds", "Test.", "stage", &["solve", "write"]);
+        for micros in [50, 100, 150_000, 120_000_000] {
+            assert!(family.observe_micros("solve", micros));
+        }
+        assert!(!family.observe_micros("undeclared", 10));
         let mut out = String::new();
-        render_prometheus_histogram(&mut out, "tessel_test_seconds", "stage=\"solve\"", &h);
+        family.render(&mut out);
+        assert!(out.starts_with(
+            "# HELP tessel_test_seconds Test.\n# TYPE tessel_test_seconds histogram\n"
+        ));
         assert!(out.contains("tessel_test_seconds_bucket{stage=\"solve\",le=\"0.0001\"} 2"));
         assert!(out.contains("tessel_test_seconds_bucket{stage=\"solve\",le=\"+Inf\"} 4"));
-        assert!(out.contains("tessel_test_seconds_sum{stage=\"solve\"} "));
+        assert!(out.contains("tessel_test_seconds_sum{stage=\"solve\"} 120.15015\n"));
         assert!(out.contains("tessel_test_seconds_count{stage=\"solve\"} 4"));
+        assert!(out.contains("tessel_test_seconds_count{stage=\"write\"} 0"));
+        assert!(!out.contains("undeclared"));
 
-        let mut bare = String::new();
-        render_prometheus_histogram(&mut bare, "plain_seconds", "", &h);
-        assert!(bare.contains("plain_seconds_bucket{le=\"0.0001\"} 2"));
-        assert!(bare.contains("plain_seconds_count 4"));
+        let bare = HistogramFamily::unlabeled("plain_seconds", "Plain.");
+        assert!(bare.observe_micros("", 50));
+        let mut out = String::new();
+        bare.render(&mut out);
+        assert!(out.contains("plain_seconds_bucket{le=\"0.0001\"} 1"));
+        assert!(out.contains("plain_seconds_count 1"));
+    }
+
+    #[test]
+    fn metrics_render_their_declared_kind() {
+        let counter = Metric::counter("requests_total", "Requests.");
+        counter.add(2);
+        counter.inc();
+        let gauge = Metric::gauge("queue_depth", "Depth.");
+        gauge.inc();
+        gauge.inc();
+        gauge.dec();
+        gauge.set(gauge.get() + 4);
+        let mut out = String::new();
+        counter.render(&mut out);
+        gauge.render(&mut out);
+        Desc::counter("derived_total", "Computed at scrape.").render(&mut out, 0.5);
+        assert_eq!(
+            out,
+            "# HELP requests_total Requests.\n# TYPE requests_total counter\nrequests_total 3\n\
+             # HELP queue_depth Depth.\n# TYPE queue_depth gauge\nqueue_depth 5\n\
+             # HELP derived_total Computed at scrape.\n# TYPE derived_total counter\nderived_total 0.5\n"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn usage() -> ! {
          \x20                  [--journal-compact-every N]\n\
          \x20                  [--portfolio-threads N] [--micro-batches N] [--max-repetend N]\n\
          \x20                  [--solver-threads N] [--max-solver-threads N]\n\
-         \x20                  [--solver-steal-depth N] [--solver-memo-shards N]\n\
+         \x20                  [--solver-steal-depth N]\n\
          \x20                  [--default-deadline-ms MS]\n\
          \x20                  [--node-id ID] [--peer ID=HOST:PORT]...\n\
          \x20                  [--cluster-vnodes N] [--probe-interval-ms MS]\n\
@@ -120,9 +120,6 @@ fn main() {
             }
             "--solver-steal-depth" => {
                 service_config.solver_steal_depth = parse_value(&flag, args.next());
-            }
-            "--solver-memo-shards" => {
-                service_config.solver_memo_shards = parse_value(&flag, args.next());
             }
             "--micro-batches" => {
                 service_config.default_micro_batches = parse_value(&flag, args.next());

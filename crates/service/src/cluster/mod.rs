@@ -31,12 +31,11 @@ pub mod replicate;
 pub mod ring;
 
 use crate::cache::{CacheParams, CachedSearch};
-pub use crate::metrics::{ClusterMetrics, ClusterSnapshot};
+pub use crate::metrics::ClusterMetrics;
 use crate::wire::{CacheExchange, ClusterStatusResponse, OwnerInfo, WireSearchEntry};
 use peers::{PeerConfig, PeerSet};
 use replicate::Replicator;
 use ring::HashRing;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use tessel_core::fingerprint::{CanonicalPlacement, Fingerprint};
@@ -142,7 +141,7 @@ impl Cluster {
             config.circuit_cooldown,
             config.probe_interval,
         )?);
-        let metrics = Arc::new(ClusterMetrics::new());
+        let metrics = Arc::new(ClusterMetrics::default());
         let replicator = Replicator::spawn(
             ring.clone(),
             peers.clone(),
@@ -237,28 +236,28 @@ impl Cluster {
                     });
                     match usable {
                         Some(entry) => {
-                            self.metrics.remote_hits.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.remote_hits.inc();
                             RemoteFetch::Hit(Arc::new(entry.into_cached(canon.placement.clone())))
                         }
                         None => {
                             // The owner has the fingerprint but not these
                             // parameters (or sent something unusable).
-                            self.metrics.remote_misses.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.remote_misses.inc();
                             RemoteFetch::Miss
                         }
                     }
                 }
                 Err(_) => {
-                    self.metrics.remote_errors.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.remote_errors.inc();
                     RemoteFetch::Unavailable
                 }
             },
             Ok((404, _)) => {
-                self.metrics.remote_misses.fetch_add(1, Ordering::Relaxed);
+                self.metrics.remote_misses.inc();
                 RemoteFetch::Miss
             }
             Ok(_) | Err(_) => {
-                self.metrics.remote_errors.fetch_add(1, Ordering::Relaxed);
+                self.metrics.remote_errors.inc();
                 RemoteFetch::Unavailable
             }
         }
@@ -314,9 +313,7 @@ impl Cluster {
                 }
             }
         }
-        self.metrics
-            .warmup_entries
-            .fetch_add(warmed as u64, Ordering::Relaxed);
+        self.metrics.warmup_entries.add(warmed as u64);
         tessel_obs::info(
             "cluster",
             "warm-up from peers finished",
@@ -349,14 +346,15 @@ impl Cluster {
         }
     }
 
-    /// A point-in-time snapshot of the cluster counters and peer gauges.
-    #[must_use]
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        self.metrics.snapshot(
+    /// Appends the cluster series of `GET /metrics` to `out`, sampling the
+    /// peer gauges from the peer table.
+    pub fn render_metrics(&self, out: &mut String) {
+        self.metrics.render(
+            out,
             self.peers.peers().len() as u64,
             self.peers.healthy_count(),
             self.peers.circuit_open_count(),
-        )
+        );
     }
 
     /// Stops the prober and the replication worker. Idempotent; also run on
@@ -444,8 +442,8 @@ mod tests {
             cluster.fetch_from_owner(&canon, &params),
             RemoteFetch::Unavailable
         ));
-        assert_eq!(cluster.snapshot().circuits_open, 1);
-        assert_eq!(cluster.snapshot().remote_errors, 2);
+        assert_eq!(cluster.peers.circuit_open_count(), 1);
+        assert_eq!(cluster.metrics().remote_errors.get(), 2);
         cluster.shutdown();
     }
 }

@@ -13,7 +13,6 @@ use super::ring::HashRing;
 use super::{peers::PeerSet, ClusterMetrics};
 use crate::cache::CachedSearch;
 use crate::wire::{CacheExchange, WireSearchEntry};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -68,9 +67,7 @@ impl Replicator {
                 let body = match serde_json::to_string(&exchange) {
                     Ok(body) => body,
                     Err(_) => {
-                        worker_metrics
-                            .replication_errors
-                            .fetch_add(1, Ordering::Relaxed);
+                        worker_metrics.replication_errors.inc();
                         continue;
                     }
                 };
@@ -84,14 +81,10 @@ impl Replicator {
                 let outcome = peer.call_with_headers("PUT", &path, Some(&body), &headers);
                 match outcome {
                     Ok((status, _)) if (200..300).contains(&status) => {
-                        worker_metrics
-                            .replications_sent
-                            .fetch_add(1, Ordering::Relaxed);
+                        worker_metrics.replications_sent.inc();
                     }
                     other => {
-                        worker_metrics
-                            .replication_errors
-                            .fetch_add(1, Ordering::Relaxed);
+                        worker_metrics.replication_errors.inc();
                         let detail = match &other {
                             Ok((status, _)) => format!("owner answered {status}"),
                             Err(e) => e.to_string(),
@@ -137,9 +130,7 @@ impl Replicator {
         }) {
             Ok(()) => {}
             Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                self.metrics
-                    .replication_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.replication_dropped.inc();
             }
         }
     }

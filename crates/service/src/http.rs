@@ -254,7 +254,7 @@ impl HttpServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let transport = Arc::new(TransportMetrics::new());
+        let transport = Arc::new(TransportMetrics::default());
         let (wake_rx, wake_tx) = std::io::pipe()?;
 
         let poller = Poller::new()?;
@@ -463,11 +463,11 @@ impl HttpServer {
         self.addr
     }
 
-    /// A point-in-time snapshot of the transport gauges and counters (also
-    /// rendered into `GET /metrics`).
+    /// The live transport gauges and counters (also rendered into
+    /// `GET /metrics`).
     #[must_use]
-    pub fn transport_snapshot(&self) -> crate::metrics::TransportSnapshot {
-        self.transport.snapshot()
+    pub fn transport(&self) -> &TransportMetrics {
+        &self.transport
     }
 
     /// Stops the event loop, drains the workers and joins every thread.
@@ -499,8 +499,15 @@ fn sampler_loop(
     stop: &AtomicBool,
     interval: Duration,
 ) {
-    let mut prev = service.metrics_snapshot();
-    let mut prev_shed = transport.admission_shed.load(Ordering::Relaxed);
+    let metrics = service.metrics();
+    let counters = [
+        &metrics.requests,
+        &transport.admission_shed,
+        &metrics.cache_hits,
+        &metrics.cache_misses,
+        &metrics.solver_nodes,
+    ];
+    let mut prev = counters.map(tessel_obs::Metric::get);
     let mut last_tick = Instant::now();
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(interval.min(Duration::from_millis(50)));
@@ -509,29 +516,26 @@ fn sampler_loop(
         }
         let elapsed_s = last_tick.elapsed().as_secs_f64().max(1e-3);
         last_tick = Instant::now();
-        let now = service.metrics_snapshot();
-        let shed = transport.admission_shed.load(Ordering::Relaxed);
-        let requests = now.requests.saturating_sub(prev.requests);
-        let hits = now.cache_hits.saturating_sub(prev.cache_hits);
-        let misses = now.cache_misses.saturating_sub(prev.cache_misses);
+        let now = counters.map(tessel_obs::Metric::get);
+        let [requests, shed, hits, misses, nodes] =
+            std::array::from_fn(|i| now[i].saturating_sub(prev[i]));
         let looked_up = hits + misses;
         timeseries.push(
             now_unix_ms(),
             &[
                 requests as f64 / elapsed_s,
-                shed.saturating_sub(prev_shed) as f64 / elapsed_s,
+                shed as f64 / elapsed_s,
                 if looked_up == 0 {
                     0.0
                 } else {
                     hits as f64 / looked_up as f64
                 },
-                now.solver_nodes.saturating_sub(prev.solver_nodes) as f64 / elapsed_s,
-                transport.admission_queue_depth.load(Ordering::Relaxed) as f64,
-                transport.connections_open.load(Ordering::Relaxed) as f64,
+                nodes as f64 / elapsed_s,
+                transport.admission_queue_depth.get() as f64,
+                transport.connections_open.get() as f64,
             ],
         );
         prev = now;
-        prev_shed = shed;
     }
 }
 
@@ -720,7 +724,7 @@ impl AdmissionQueue {
         };
         self.transport
             .admission_queue_depth
-            .store(state.waiting.len() as u64, Ordering::Relaxed);
+            .set(state.waiting.len() as u64);
         drop(state);
         self.available.notify_one();
         OfferOutcome::Admitted { shed }
@@ -736,10 +740,10 @@ impl AdmissionQueue {
                 *state.served.entry(picked.job.client).or_insert(0) += 1;
                 self.transport
                     .admission_queue_depth
-                    .store(state.waiting.len() as u64, Ordering::Relaxed);
+                    .set(state.waiting.len() as u64);
                 self.transport
                     .admission_wait
-                    .observe_micros(picked.job.enqueued.elapsed().as_micros() as u64);
+                    .observe_micros("", picked.job.enqueued.elapsed().as_micros() as u64);
                 return Some(picked.job);
             }
             if state.closed {
@@ -958,9 +962,7 @@ impl EventLoop {
                     {
                         // Dropping the stream closes it: the cheapest
                         // possible rejection, before any read or parse work.
-                        self.transport
-                            .rejected_per_ip
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.transport.rejected_per_ip.inc();
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -997,15 +999,9 @@ impl EventLoop {
                             peer_ip: Some(ip),
                         },
                     );
-                    self.transport
-                        .connections_open
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.transport
-                        .connections_idle
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.transport
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.transport.connections_open.inc();
+                    self.transport.connections_idle.inc();
+                    self.transport.connections_accepted.inc();
                     self.note_idle();
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1080,9 +1076,7 @@ impl EventLoop {
                 conn.in_flight -= 1;
                 became_idle = conn.idle();
                 if became_idle {
-                    self.transport
-                        .connections_idle
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.transport.connections_idle.inc();
                 }
                 if close {
                     conn.draining = true;
@@ -1238,9 +1232,7 @@ impl EventLoop {
                     ParseStatus::Error(message) => {
                         conn.in_flight += 1;
                         if conn.in_flight == 1 {
-                            self.transport
-                                .connections_idle
-                                .fetch_sub(1, Ordering::Relaxed);
+                            self.transport.connections_idle.dec();
                         }
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
@@ -1259,20 +1251,14 @@ impl EventLoop {
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         if seq > 0 {
-                            self.transport
-                                .keepalive_reuses
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.transport.keepalive_reuses.inc();
                         }
                         if conn.in_flight > 0 {
-                            self.transport
-                                .pipelined_requests
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.transport.pipelined_requests.inc();
                         }
                         conn.in_flight += 1;
                         if conn.in_flight == 1 {
-                            self.transport
-                                .connections_idle
-                                .fetch_sub(1, Ordering::Relaxed);
+                            self.transport.connections_idle.dec();
                         }
                         if request.close || stream_requested(&request) {
                             // A streaming response owns the connection until
@@ -1310,9 +1296,7 @@ impl EventLoop {
                     // Overload: the least valuable *waiting* request is
                     // answered with 429 + Retry-After so the newcomer (or a
                     // more urgent waiter) keeps its slot.
-                    self.transport
-                        .admission_shed
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.transport.admission_shed.inc();
                     let close = victim.request.close;
                     let bytes = encode_response(
                         &error_response(
@@ -1328,9 +1312,7 @@ impl EventLoop {
                 OfferOutcome::Rejected(job) => {
                     // Tail-drop baseline: shed load instead of queueing
                     // without limit.
-                    self.transport
-                        .admission_shed
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.transport.admission_shed.inc();
                     let close = job.request.close;
                     let bytes = encode_response(
                         &error_response(503, "unavailable", "request queue is full"),
@@ -1372,13 +1354,9 @@ impl EventLoop {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             self.poller.remove(conn.stream.as_raw_fd());
-            self.transport
-                .connections_open
-                .fetch_sub(1, Ordering::Relaxed);
+            self.transport.connections_open.dec();
             if conn.idle() {
-                self.transport
-                    .connections_idle
-                    .fetch_sub(1, Ordering::Relaxed);
+                self.transport.connections_idle.dec();
             }
             if let Some(ip) = conn.peer_ip {
                 if let Some(count) = self.per_ip.get_mut(&ip) {
@@ -1402,7 +1380,7 @@ impl EventLoop {
             .map(|(&t, _)| t)
             .collect();
         for token in expired {
-            self.transport.idle_closed.fetch_add(1, Ordering::Relaxed);
+            self.transport.idle_closed.inc();
             self.close_conn(token);
         }
         // This sweep is the one place the exact earliest deadline is
@@ -1909,12 +1887,11 @@ fn route(
             }
         }
         ("GET", "/metrics") => {
-            let mut body = service.metrics_snapshot().render_prometheus()
-                + &service.metrics().render_histograms()
-                + &transport.snapshot().render_prometheus()
-                + &transport.render_admission_wait();
-            if let Some(cluster) = service.cluster_snapshot() {
-                body += &cluster.render_prometheus();
+            let mut body = String::new();
+            service.render_metrics(&mut body);
+            transport.render(&mut body);
+            if let Some(cluster) = service.cluster() {
+                cluster.render_metrics(&mut body);
             }
             if let Some(timeseries) = timeseries {
                 timeseries.render_prometheus(&mut body);
@@ -3010,7 +2987,7 @@ mod tests {
         let queue = AdmissionQueue::new(
             8,
             ShedPolicy::LeastValuable,
-            Arc::new(TransportMetrics::new()),
+            Arc::new(TransportMetrics::default()),
         );
         let a: IpAddr = "10.0.0.1".parse().unwrap();
         let b: IpAddr = "10.0.0.2".parse().unwrap();
@@ -3058,7 +3035,7 @@ mod tests {
         let queue = AdmissionQueue::new(
             2,
             ShedPolicy::LeastValuable,
-            Arc::new(TransportMetrics::new()),
+            Arc::new(TransportMetrics::default()),
         );
         let now = Instant::now();
         let a: IpAddr = "10.0.0.1".parse().unwrap();
@@ -3087,7 +3064,7 @@ mod tests {
         let queue = AdmissionQueue::new(
             1,
             ShedPolicy::LeastValuable,
-            Arc::new(TransportMetrics::new()),
+            Arc::new(TransportMetrics::default()),
         );
         queue.offer(admission_job(Some(a), 9, None));
         match queue.offer(admission_job(
@@ -3107,7 +3084,7 @@ mod tests {
         let queue = AdmissionQueue::new(
             1,
             ShedPolicy::RejectNewest,
-            Arc::new(TransportMetrics::new()),
+            Arc::new(TransportMetrics::default()),
         );
         queue.offer(admission_job(None, 0, None));
         assert!(matches!(

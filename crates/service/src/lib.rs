@@ -14,8 +14,9 @@
 //! * [`cache`] — the lock-striped [`ShardedCache`] with LRU eviction and
 //!   JSON persistence, so daemon restarts start warm.
 //! * [`singleflight`] — the request-coalescing primitive.
-//! * [`metrics`] — request/hit/miss/latency counters with p50/p99 estimates,
-//!   rendered in Prometheus text format for `/metrics`.
+//! * [`metrics`] — the service, transport and cluster counters, gauges and
+//!   latency histograms behind `/metrics`, each declared once as a
+//!   `tessel_obs` instrument.
 //! * [`http`] — a readiness-based HTTP/1.1 server over nonblocking
 //!   `std::net` sockets: one epoll-driven event-loop thread multiplexes
 //!   every connection (keep-alive, pipelining, chunked request bodies, idle
@@ -87,8 +88,5 @@ pub use cluster::{peers::PeerConfig, ring::HashRing, Cluster, ClusterConfig};
 pub use flight::{FlightQuery, FlightRecord, FlightRecorder, StageTiming};
 pub use http::{http_call_streaming, HttpClient, HttpServer, ServerConfig, ShedPolicy};
 pub use inflight::{InflightGuard, InflightRegistry};
-pub use metrics::{
-    ClusterMetrics, ClusterSnapshot, MetricsSnapshot, ServiceMetrics, TransportMetrics,
-    TransportSnapshot,
-};
+pub use metrics::{ClusterMetrics, ServiceMetrics, TransportMetrics};
 pub use service::{ScheduleService, ServiceConfig, ServiceError};

@@ -1,24 +1,16 @@
-//! Daemon metrics: request counters, in-flight gauge, latency quantiles and
-//! real Prometheus histograms.
+//! Daemon metrics: the service, transport and cluster instruments behind
+//! `GET /metrics`.
 //!
-//! Counters are plain relaxed atomics (the hot path adds a handful of
-//! `fetch_add`s per request). Latency is tracked two ways: a fixed
-//! power-of-two histogram — bucket `i` counts requests that finished in
-//! `[2^i, 2^(i+1))` microseconds — from which the JSON snapshot's p50/p99
-//! estimates derive, plus [`tessel_obs::Histogram`] families with per-endpoint
-//! (`tessel_http_request_duration_seconds`) and per-stage
-//! (`tessel_request_stage_duration_seconds`) labels, exported as
-//! `_bucket`/`_sum`/`_count` series. The whole struct renders to Prometheus
-//! text exposition format for `GET /metrics`.
+//! Every series is declared once, with its name and help text: stored ones
+//! as fields of an [`instruments!`] struct, ones sampled at scrape time as a
+//! [`Desc`]. Each struct renders its part of the page in Prometheus text
+//! exposition format. Counters and
+//! gauges are relaxed atomics (the hot path adds a handful of increments per
+//! request). Latency lives in two [`tessel_obs::HistogramFamily`]s, one
+//! labeled by endpoint and one by request-lifecycle stage.
 
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-use tessel_obs::{render_prometheus_histogram, Histogram};
+use tessel_obs::{instruments, Desc};
 use tessel_solver::SolverTotals;
-
-/// Number of power-of-two latency buckets (`2^39` µs ≈ 6.4 days).
-const BUCKETS: usize = 40;
 
 /// The fixed label set of the per-endpoint request-duration histogram family.
 ///
@@ -55,851 +47,349 @@ pub const STAGE_LABELS: [&str; 11] = [
     "write",
 ];
 
-/// Live metrics of a [`crate::ScheduleService`].
-#[derive(Debug)]
-pub struct ServiceMetrics {
-    /// Total search requests received.
-    pub requests: AtomicU64,
-    /// Requests served from the cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that ran a full search.
-    pub cache_misses: AtomicU64,
-    /// Requests coalesced onto another request's in-flight search.
-    pub coalesced: AtomicU64,
-    /// Requests that failed with a deadline timeout.
-    pub timeouts: AtomicU64,
-    /// Requests that failed for any other reason.
-    pub errors: AtomicU64,
-    /// Searches currently running.
-    pub in_flight: AtomicU64,
-    /// Exact-solver invocations across all completed searches.
-    pub solver_solves: AtomicU64,
-    /// Branch-and-bound nodes expanded across all completed searches.
-    pub solver_nodes: AtomicU64,
-    /// Solver nodes pruned by the makespan lower bound.
-    pub solver_pruned_bound: AtomicU64,
-    /// Solver nodes pruned by state dominance.
-    pub solver_pruned_dominance: AtomicU64,
-    /// Subtree tasks stolen between parallel solver workers.
-    pub solver_steals: AtomicU64,
-    /// Dominance prunes served by a record another solver worker inserted.
-    pub solver_shared_memo_hits: AtomicU64,
-    /// Contention events (lost CAS races, discarded seqlock reads, skipped mid-build segments) in the solver's lock-free shared structures.
-    pub solver_cas_retries: AtomicU64,
-    /// Solver steal attempts that lost the deque-`top` race.
-    pub solver_steal_failures: AtomicU64,
-    /// Finish vectors the solver's bounded-probe dominance table declined to
-    /// memoise.
-    pub solver_memo_drops: AtomicU64,
-    /// Canonical-form mismatches caught by the `--paranoid-fingerprints`
-    /// lookup re-comparison that trusted fingerprint equality would have
-    /// accepted. Any nonzero value means the exact canonical labeling broke
-    /// its contract.
-    pub fingerprint_paranoia_mismatches: AtomicU64,
-    /// Replication/warm-up entries rejected because the shipped placement
-    /// did not re-canonicalize to its claimed fingerprint. This check runs
-    /// unconditionally (it is the only defence against a consistent but
-    /// mislabeled peer payload); nonzero means a peer is confused or hostile.
-    pub fingerprint_wire_mismatches: AtomicU64,
-    /// Canonical-labeling searches that hit the node budget and completed
-    /// greedily (see `tessel_core::fingerprint::DEFAULT_NODE_BUDGET`).
-    pub canon_budget_exhausted: AtomicU64,
-    /// Batch-search members answered by another member of the same batch
-    /// (same canonical fingerprint — the solver ran at most once for the
-    /// whole group).
-    pub batch_deduped: AtomicU64,
-    /// Journal records dropped at startup because their stored fingerprint no
-    /// longer matched re-canonicalization of the stored placement (dead
-    /// weight from an older labeling scheme).
-    pub journal_stale_dropped: AtomicU64,
-    latency_buckets: [AtomicU64; BUCKETS],
-    /// Request-duration histograms, one per [`ENDPOINT_LABELS`] entry.
-    endpoint_durations: [Histogram; ENDPOINT_LABELS.len()],
-    /// Stage-duration histograms, one per [`STAGE_LABELS`] entry.
-    stage_durations: [Histogram; STAGE_LABELS.len()],
-}
-
-/// Point-in-time snapshot of [`ServiceMetrics`] (plus cache gauges), served
-/// as JSON by the in-process API and rendered to Prometheus text for
-/// `/metrics`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Total search requests received.
-    pub requests: u64,
-    /// Requests served from the cache.
-    pub cache_hits: u64,
-    /// Requests that ran a full search.
-    pub cache_misses: u64,
-    /// Requests coalesced onto an in-flight search.
-    pub coalesced: u64,
-    /// Requests that failed with a deadline timeout.
-    pub timeouts: u64,
-    /// Requests that failed for any other reason.
-    pub errors: u64,
-    /// Searches currently running.
-    pub in_flight: u64,
-    /// Exact-solver invocations across all completed searches.
-    pub solver_solves: u64,
-    /// Branch-and-bound nodes expanded across all completed searches.
-    pub solver_nodes: u64,
-    /// Solver nodes pruned by the makespan lower bound.
-    pub solver_pruned_bound: u64,
-    /// Solver nodes pruned by state dominance.
-    pub solver_pruned_dominance: u64,
-    /// Subtree tasks stolen between parallel solver workers.
-    pub solver_steals: u64,
-    /// Dominance prunes served by a record another solver worker inserted.
-    pub solver_shared_memo_hits: u64,
-    /// Contention events (lost CAS races, discarded seqlock reads, skipped mid-build segments) in the solver's lock-free shared structures.
-    #[serde(default)]
-    pub solver_cas_retries: u64,
-    /// Solver steal attempts that lost the deque-`top` race.
-    #[serde(default)]
-    pub solver_steal_failures: u64,
-    /// Finish vectors the solver's bounded-probe dominance table declined to
-    /// memoise.
-    #[serde(default)]
-    pub solver_memo_drops: u64,
-    /// Canonical-form mismatches caught by the `--paranoid-fingerprints`
-    /// lookup re-comparison that trusted fingerprint equality would have
-    /// accepted.
-    #[serde(default)]
-    pub fingerprint_paranoia_mismatches: u64,
-    /// Replication/warm-up entries rejected because the shipped placement
-    /// did not re-canonicalize to its claimed fingerprint (always checked).
-    #[serde(default)]
-    pub fingerprint_wire_mismatches: u64,
-    /// Canonical-labeling searches that hit the node budget and completed
-    /// greedily.
-    #[serde(default)]
-    pub canon_budget_exhausted: u64,
-    /// Batch-search members deduplicated within their batch.
-    #[serde(default)]
-    pub batch_deduped: u64,
-    /// Stale journal records dropped by startup compaction.
-    #[serde(default)]
-    pub journal_stale_dropped: u64,
-    /// Cache hit rate over all completed requests (0 when idle).
-    pub hit_rate: f64,
-    /// Entries currently cached.
-    pub cache_entries: u64,
-    /// LRU evictions so far.
-    pub cache_evictions: u64,
-    /// Median request latency, milliseconds (bucket upper bound).
-    pub latency_p50_ms: f64,
-    /// 99th-percentile request latency, milliseconds (bucket upper bound).
-    pub latency_p99_ms: f64,
-}
-
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        ServiceMetrics {
-            requests: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            solver_solves: AtomicU64::new(0),
-            solver_nodes: AtomicU64::new(0),
-            solver_pruned_bound: AtomicU64::new(0),
-            solver_pruned_dominance: AtomicU64::new(0),
-            solver_steals: AtomicU64::new(0),
-            solver_shared_memo_hits: AtomicU64::new(0),
-            solver_cas_retries: AtomicU64::new(0),
-            solver_steal_failures: AtomicU64::new(0),
-            solver_memo_drops: AtomicU64::new(0),
-            fingerprint_paranoia_mismatches: AtomicU64::new(0),
-            fingerprint_wire_mismatches: AtomicU64::new(0),
-            canon_budget_exhausted: AtomicU64::new(0),
-            batch_deduped: AtomicU64::new(0),
-            journal_stale_dropped: AtomicU64::new(0),
-            latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            endpoint_durations: std::array::from_fn(|_| Histogram::new()),
-            stage_durations: std::array::from_fn(|_| Histogram::new()),
-        }
+instruments! {
+    /// Live metrics of a [`crate::ScheduleService`].
+    pub struct ServiceMetrics {
+        requests: Metric::counter("tessel_requests_total", "Search requests received."),
+        cache_hits: Metric::counter(
+            "tessel_cache_hits_total",
+            "Requests served from the result cache."
+        ),
+        cache_misses: Metric::counter(
+            "tessel_cache_misses_total",
+            "Requests that ran a full search."
+        ),
+        coalesced: Metric::counter(
+            "tessel_coalesced_total",
+            "Requests coalesced onto an in-flight search."
+        ),
+        timeouts: Metric::counter(
+            "tessel_timeouts_total",
+            "Requests that exceeded their deadline."
+        ),
+        errors: Metric::counter("tessel_errors_total", "Requests that failed for other reasons."),
+        in_flight: Metric::gauge("tessel_in_flight_searches", "Searches currently running."),
+        solver_solves: Metric::counter(
+            "tessel_solver_solves_total",
+            "Exact-solver invocations across completed searches."
+        ),
+        solver_nodes: Metric::counter(
+            "tessel_solver_nodes_total",
+            "Branch-and-bound nodes expanded across completed searches."
+        ),
+        solver_pruned_bound: Metric::counter(
+            "tessel_solver_pruned_bound_total",
+            "Solver nodes pruned by the makespan lower bound."
+        ),
+        solver_pruned_dominance: Metric::counter(
+            "tessel_solver_pruned_dominance_total",
+            "Solver nodes pruned by state dominance."
+        ),
+        solver_steals: Metric::counter(
+            "tessel_solver_steals_total",
+            "Subtree tasks stolen between parallel solver workers."
+        ),
+        solver_shared_memo_hits: Metric::counter(
+            "tessel_solver_shared_memo_hits_total",
+            "Dominance prunes served by another solver worker's record."
+        ),
+        solver_cas_retries: Metric::counter(
+            "tessel_solver_cas_retries_total",
+            "Contention events (lost CAS races, discarded seqlock reads, skipped mid-build segments) in the solver's lock-free shared structures."
+        ),
+        solver_steal_failures: Metric::counter(
+            "tessel_solver_steal_failures_total",
+            "Solver steal attempts that lost the deque-top race."
+        ),
+        solver_memo_drops: Metric::counter(
+            "tessel_solver_memo_drops_total",
+            "Finish vectors the bounded-probe dominance table declined to memoise."
+        ),
+        // Any nonzero value means the exact canonical labeling broke its
+        // contract.
+        fingerprint_paranoia_mismatches: Metric::counter(
+            "tessel_fingerprint_paranoia_mismatches_total",
+            "Canonical-form mismatches caught by the --paranoid-fingerprints lookup re-comparison that trusted fingerprint equality would have accepted."
+        ),
+        // Nonzero means a peer is confused or hostile: the check is the only
+        // defence against a consistent but mislabeled peer payload.
+        fingerprint_wire_mismatches: Metric::counter(
+            "tessel_fingerprint_wire_mismatches_total",
+            "Replication/warm-up entries rejected because the shipped placement did not re-canonicalize to its claimed fingerprint (always checked)."
+        ),
+        // See `tessel_core::fingerprint::DEFAULT_NODE_BUDGET`.
+        canon_budget_exhausted: Metric::counter(
+            "tessel_fingerprint_canon_budget_exhausted_total",
+            "Canonical-labeling searches that hit the node budget and completed greedily."
+        ),
+        batch_deduped: Metric::counter(
+            "tessel_batch_deduped_total",
+            "Batch-search members deduplicated within their batch (fingerprint-identical to another member)."
+        ),
+        journal_stale_dropped: Metric::counter(
+            "tessel_cache_journal_stale_dropped_total",
+            "Journal records dropped at startup because re-canonicalization no longer reproduces their stored fingerprint."
+        ),
+        endpoint_durations: HistogramFamily::labeled(
+            "tessel_http_request_duration_seconds",
+            "End-to-end request duration by endpoint.",
+            "endpoint",
+            &ENDPOINT_LABELS
+        ),
+        stage_durations: HistogramFamily::labeled(
+            "tessel_request_stage_duration_seconds",
+            "Time spent per request-lifecycle stage.",
+            "stage",
+            &STAGE_LABELS
+        ),
     }
 }
+
+/// Rendered from [`ServiceMetrics::hit_rate`]: hits ÷ (hits + misses), 0
+/// before the first lookup. Coalesced and failed requests are in neither
+/// count.
+const CACHE_HIT_RATE: Desc = Desc::gauge("tessel_cache_hit_rate", "Cache hit rate.");
+const CACHE_ENTRIES: Desc = Desc::gauge("tessel_cache_entries", "Entries currently cached.");
+const CACHE_EVICTIONS: Desc =
+    Desc::counter("tessel_cache_evictions_total", "LRU evictions so far.");
 
 impl ServiceMetrics {
-    /// Creates zeroed metrics.
-    #[must_use]
-    pub fn new() -> Self {
-        ServiceMetrics::default()
-    }
-
     /// Folds one completed search's aggregate solver effort into the
     /// daemon-lifetime counters.
     pub fn record_solver(&self, totals: &SolverTotals) {
-        self.solver_solves
-            .fetch_add(totals.solves, Ordering::Relaxed);
-        self.solver_nodes.fetch_add(totals.nodes, Ordering::Relaxed);
-        self.solver_pruned_bound
-            .fetch_add(totals.pruned_bound, Ordering::Relaxed);
-        self.solver_pruned_dominance
-            .fetch_add(totals.pruned_dominance, Ordering::Relaxed);
-        self.solver_steals
-            .fetch_add(totals.steals, Ordering::Relaxed);
-        self.solver_shared_memo_hits
-            .fetch_add(totals.shared_memo_hits, Ordering::Relaxed);
-        self.solver_cas_retries
-            .fetch_add(totals.cas_retries, Ordering::Relaxed);
-        self.solver_steal_failures
-            .fetch_add(totals.steal_failures, Ordering::Relaxed);
-        self.solver_memo_drops
-            .fetch_add(totals.memo_drops, Ordering::Relaxed);
+        self.solver_solves.add(totals.solves);
+        self.solver_nodes.add(totals.nodes);
+        self.solver_pruned_bound.add(totals.pruned_bound);
+        self.solver_pruned_dominance.add(totals.pruned_dominance);
+        self.solver_steals.add(totals.steals);
+        self.solver_shared_memo_hits.add(totals.shared_memo_hits);
+        self.solver_cas_retries.add(totals.cas_retries);
+        self.solver_steal_failures.add(totals.steal_failures);
+        self.solver_memo_drops.add(totals.memo_drops);
     }
 
-    /// Records one completed request's wall-clock latency.
-    pub fn record_latency(&self, elapsed: Duration) {
-        let micros = elapsed.as_micros().max(1) as u64;
-        let bucket = (63 - micros.leading_zeros() as usize).min(BUCKETS - 1);
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
+    /// Cache hits ÷ (hits + misses), 0 before the first lookup. Coalesced
+    /// and failed requests are in neither count.
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self.cache_hits.get();
+        let looked_up = hits + self.cache_misses.get();
+        if looked_up == 0 {
+            0.0
+        } else {
+            hits as f64 / looked_up as f64
+        }
     }
 
-    /// Coarsens a request path to its [`ENDPOINT_LABELS`] entry.
+    /// Coarsens a request path to its [`ENDPOINT_LABELS`] entry: an exact
+    /// match, or a `/`-separated sub-path of a collection endpoint.
     #[must_use]
     pub fn endpoint_label(path: &str) -> &'static str {
-        if path == "/v1/search" {
-            "/v1/search"
-        } else if path == "/v1/search/batch" {
-            "/v1/search/batch"
-        } else if path == "/v1/cache" || path.starts_with("/v1/cache/") {
-            "/v1/cache"
-        } else if path == "/v1/cluster" || path.starts_with("/v1/cluster/") {
-            "/v1/cluster"
-        } else if path == "/v1/debug/requests" {
-            "/v1/debug/requests"
-        } else if path == "/v1/debug/inflight" {
-            "/v1/debug/inflight"
-        } else if path == "/v1/debug/timeseries" {
-            "/v1/debug/timeseries"
-        } else if path == "/v1/debug/trace" || path.starts_with("/v1/debug/trace/") {
-            "/v1/debug/trace"
-        } else if path == "/v1/debug/loglevel" {
-            "/v1/debug/loglevel"
-        } else if path == "/metrics" {
-            "/metrics"
-        } else if path == "/healthz" {
-            "/healthz"
-        } else {
-            "other"
-        }
+        const COLLECTIONS: [&str; 3] = ["/v1/cache", "/v1/cluster", "/v1/debug/trace"];
+        let within = |label: &str| {
+            COLLECTIONS.contains(&label)
+                && path
+                    .strip_prefix(label)
+                    .is_some_and(|rest| rest.starts_with('/'))
+        };
+        ENDPOINT_LABELS
+            .into_iter()
+            .find(|&label| path == label || within(label))
+            .unwrap_or("other")
     }
 
     /// Records one completed request into the per-endpoint duration
     /// histogram. `label` must come from [`ServiceMetrics::endpoint_label`];
     /// anything else lands under `other`.
     pub fn observe_endpoint_micros(&self, label: &str, micros: u64) {
-        let index = ENDPOINT_LABELS
-            .iter()
-            .position(|&known| known == label)
-            .unwrap_or(ENDPOINT_LABELS.len() - 1);
-        self.endpoint_durations[index].observe_micros(micros);
-    }
-
-    /// Records one stage duration into the per-stage histogram family.
-    /// Stages outside [`STAGE_LABELS`] are dropped — the label set stays
-    /// fixed by construction.
-    pub fn observe_stage_micros(&self, stage: &str, micros: u64) {
-        if let Some(index) = STAGE_LABELS.iter().position(|&known| known == stage) {
-            self.stage_durations[index].observe_micros(micros);
+        if !self.endpoint_durations.observe_micros(label, micros) {
+            self.endpoint_durations.observe_micros("other", micros);
         }
     }
 
-    /// Renders the request-duration and stage-duration histogram families in
-    /// Prometheus text exposition format (appended to `GET /metrics` after
-    /// the counter blocks).
-    #[must_use]
-    pub fn render_histograms(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "# HELP tessel_http_request_duration_seconds End-to-end request duration by endpoint.\n",
-        );
-        out.push_str("# TYPE tessel_http_request_duration_seconds histogram\n");
-        for (label, histogram) in ENDPOINT_LABELS.iter().zip(&self.endpoint_durations) {
-            render_prometheus_histogram(
-                &mut out,
-                "tessel_http_request_duration_seconds",
-                &format!("endpoint=\"{label}\""),
-                histogram,
-            );
+    /// Appends the service's series to `out`; the cache gauges are sampled
+    /// by the caller.
+    pub fn render(&self, out: &mut String, cache_entries: u64, cache_evictions: u64) {
+        for metric in [
+            &self.requests,
+            &self.cache_hits,
+            &self.cache_misses,
+            &self.coalesced,
+            &self.timeouts,
+            &self.errors,
+            &self.in_flight,
+            &self.solver_solves,
+            &self.solver_nodes,
+            &self.solver_pruned_bound,
+            &self.solver_pruned_dominance,
+            &self.solver_steals,
+            &self.solver_shared_memo_hits,
+            &self.solver_cas_retries,
+            &self.solver_steal_failures,
+            &self.solver_memo_drops,
+            &self.fingerprint_paranoia_mismatches,
+            &self.fingerprint_wire_mismatches,
+            &self.canon_budget_exhausted,
+            &self.batch_deduped,
+            &self.journal_stale_dropped,
+        ] {
+            metric.render(out);
         }
-        out.push_str(
-            "# HELP tessel_request_stage_duration_seconds Time spent per request-lifecycle stage.\n",
-        );
-        out.push_str("# TYPE tessel_request_stage_duration_seconds histogram\n");
-        for (label, histogram) in STAGE_LABELS.iter().zip(&self.stage_durations) {
-            render_prometheus_histogram(
-                &mut out,
-                "tessel_request_stage_duration_seconds",
-                &format!("stage=\"{label}\""),
-                histogram,
-            );
-        }
-        out
-    }
-
-    /// Estimates the `q`-quantile (0..=1) of recorded latencies in
-    /// milliseconds, as the upper bound of the containing bucket.
-    #[must_use]
-    pub fn latency_quantile_ms(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .latency_buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                let upper_micros = 1u64 << (i + 1).min(63);
-                return upper_micros as f64 / 1000.0;
-            }
-        }
-        f64::from(u32::MAX)
-    }
-
-    /// Takes a consistent-enough snapshot (individual counters are read with
-    /// relaxed ordering; exactness across counters is not required).
-    #[must_use]
-    pub fn snapshot(&self, cache_entries: u64, cache_evictions: u64) -> MetricsSnapshot {
-        let requests = self.requests.load(Ordering::Relaxed);
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let served = hits + misses;
-        MetricsSnapshot {
-            requests,
-            cache_hits: hits,
-            cache_misses: misses,
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            solver_solves: self.solver_solves.load(Ordering::Relaxed),
-            solver_nodes: self.solver_nodes.load(Ordering::Relaxed),
-            solver_pruned_bound: self.solver_pruned_bound.load(Ordering::Relaxed),
-            solver_pruned_dominance: self.solver_pruned_dominance.load(Ordering::Relaxed),
-            solver_steals: self.solver_steals.load(Ordering::Relaxed),
-            solver_shared_memo_hits: self.solver_shared_memo_hits.load(Ordering::Relaxed),
-            solver_cas_retries: self.solver_cas_retries.load(Ordering::Relaxed),
-            solver_steal_failures: self.solver_steal_failures.load(Ordering::Relaxed),
-            solver_memo_drops: self.solver_memo_drops.load(Ordering::Relaxed),
-            fingerprint_paranoia_mismatches: self
-                .fingerprint_paranoia_mismatches
-                .load(Ordering::Relaxed),
-            fingerprint_wire_mismatches: self.fingerprint_wire_mismatches.load(Ordering::Relaxed),
-            canon_budget_exhausted: self.canon_budget_exhausted.load(Ordering::Relaxed),
-            batch_deduped: self.batch_deduped.load(Ordering::Relaxed),
-            journal_stale_dropped: self.journal_stale_dropped.load(Ordering::Relaxed),
-            hit_rate: if served == 0 {
-                0.0
-            } else {
-                hits as f64 / served as f64
-            },
-            cache_entries,
-            cache_evictions,
-            latency_p50_ms: self.latency_quantile_ms(0.50),
-            latency_p99_ms: self.latency_quantile_ms(0.99),
-        }
+        CACHE_HIT_RATE.render(out, self.hit_rate());
+        CACHE_ENTRIES.render(out, cache_entries);
+        CACHE_EVICTIONS.render(out, cache_evictions);
+        self.endpoint_durations.render(out);
+        self.stage_durations.render(out);
     }
 }
 
-impl MetricsSnapshot {
-    /// Renders the snapshot in Prometheus text exposition format.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: f64| {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            out.push_str(&format!("# HELP tessel_{name} {help}\n"));
-            out.push_str(&format!("# TYPE tessel_{name} {kind}\n"));
-            out.push_str(&format!("tessel_{name} {value}\n"));
-        };
-        counter(
-            "requests_total",
-            "Search requests received.",
-            self.requests as f64,
-        );
-        counter(
-            "cache_hits_total",
-            "Requests served from the result cache.",
-            self.cache_hits as f64,
-        );
-        counter(
-            "cache_misses_total",
-            "Requests that ran a full search.",
-            self.cache_misses as f64,
-        );
-        counter(
-            "coalesced_total",
-            "Requests coalesced onto an in-flight search.",
-            self.coalesced as f64,
-        );
-        counter(
-            "timeouts_total",
-            "Requests that exceeded their deadline.",
-            self.timeouts as f64,
-        );
-        counter(
-            "errors_total",
-            "Requests that failed for other reasons.",
-            self.errors as f64,
-        );
-        counter(
-            "in_flight_searches",
-            "Searches currently running.",
-            self.in_flight as f64,
-        );
-        counter(
-            "solver_solves_total",
-            "Exact-solver invocations across completed searches.",
-            self.solver_solves as f64,
-        );
-        counter(
-            "solver_nodes_total",
-            "Branch-and-bound nodes expanded across completed searches.",
-            self.solver_nodes as f64,
-        );
-        counter(
-            "solver_pruned_bound_total",
-            "Solver nodes pruned by the makespan lower bound.",
-            self.solver_pruned_bound as f64,
-        );
-        counter(
-            "solver_pruned_dominance_total",
-            "Solver nodes pruned by state dominance.",
-            self.solver_pruned_dominance as f64,
-        );
-        counter(
-            "solver_steals_total",
-            "Subtree tasks stolen between parallel solver workers.",
-            self.solver_steals as f64,
-        );
-        counter(
-            "solver_shared_memo_hits_total",
-            "Dominance prunes served by another solver worker's record.",
-            self.solver_shared_memo_hits as f64,
-        );
-        counter(
-            "solver_cas_retries_total",
-            "Contention events (lost CAS races, discarded seqlock reads, skipped mid-build segments) in the solver's lock-free shared structures.",
-            self.solver_cas_retries as f64,
-        );
-        counter(
-            "solver_steal_failures_total",
-            "Solver steal attempts that lost the deque-top race.",
-            self.solver_steal_failures as f64,
-        );
-        counter(
-            "solver_memo_drops_total",
-            "Finish vectors the bounded-probe dominance table declined to memoise.",
-            self.solver_memo_drops as f64,
-        );
-        counter(
-            "fingerprint_paranoia_mismatches_total",
-            "Canonical-form mismatches caught by the --paranoid-fingerprints lookup re-comparison that trusted fingerprint equality would have accepted.",
-            self.fingerprint_paranoia_mismatches as f64,
-        );
-        counter(
-            "fingerprint_wire_mismatches_total",
-            "Replication/warm-up entries rejected because the shipped placement did not re-canonicalize to its claimed fingerprint (always checked).",
-            self.fingerprint_wire_mismatches as f64,
-        );
-        counter(
-            "fingerprint_canon_budget_exhausted_total",
-            "Canonical-labeling searches that hit the node budget and completed greedily.",
-            self.canon_budget_exhausted as f64,
-        );
-        counter(
-            "batch_deduped_total",
-            "Batch-search members deduplicated within their batch (fingerprint-identical to another member).",
-            self.batch_deduped as f64,
-        );
-        counter(
-            "cache_journal_stale_dropped_total",
-            "Journal records dropped at startup because re-canonicalization no longer reproduces their stored fingerprint.",
-            self.journal_stale_dropped as f64,
-        );
-        counter("cache_hit_rate", "Cache hit rate.", self.hit_rate);
-        counter(
-            "cache_entries",
-            "Entries currently cached.",
-            self.cache_entries as f64,
-        );
-        counter(
-            "cache_evictions_total",
-            "LRU evictions so far.",
-            self.cache_evictions as f64,
-        );
-        counter(
-            "request_latency_p50_ms",
-            "Median request latency (bucket upper bound).",
-            self.latency_p50_ms,
-        );
-        counter(
-            "request_latency_p99_ms",
-            "99th-percentile request latency (bucket upper bound).",
-            self.latency_p99_ms,
-        );
-        out
-    }
-}
-
-/// Live transport-level metrics of the HTTP event loop.
-///
-/// Owned by [`crate::HttpServer`]; the event-loop thread updates the gauges
-/// as connections open, go idle and close, and the snapshot is rendered into
-/// `GET /metrics` alongside the service-level counters.
-#[derive(Debug, Default)]
-pub struct TransportMetrics {
-    /// Connections currently open.
-    pub connections_open: AtomicU64,
-    /// Open connections with no request in flight (a subset of
-    /// `connections_open`).
-    pub connections_idle: AtomicU64,
-    /// Connections accepted since startup.
-    pub connections_accepted: AtomicU64,
-    /// Requests served on a connection that had already served at least one
-    /// earlier request (HTTP keep-alive reuse).
-    pub keepalive_reuses: AtomicU64,
-    /// Requests parsed while an earlier request on the same connection was
-    /// still in flight (HTTP/1.1 pipelining).
-    pub pipelined_requests: AtomicU64,
-    /// Connections closed by the idle-timeout sweep.
-    pub idle_closed: AtomicU64,
-    /// Connections rejected at accept because their source IP already held
-    /// the per-IP connection cap.
-    pub rejected_per_ip: AtomicU64,
-    /// Requests currently waiting in the admission queue (gauge).
-    pub admission_queue_depth: AtomicU64,
-    /// Requests shed by the admission queue under overload (answered with
-    /// 429 or 503 instead of being served).
-    pub admission_shed: AtomicU64,
-    /// Time requests spent waiting in the admission queue before a worker
-    /// picked them up.
-    pub admission_wait: Histogram,
-}
-
-/// Point-in-time snapshot of [`TransportMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransportSnapshot {
-    /// Connections currently open.
-    pub connections_open: u64,
-    /// Open connections with no request in flight.
-    pub connections_idle: u64,
-    /// Connections accepted since startup.
-    pub connections_accepted: u64,
-    /// Requests served over a reused (kept-alive) connection.
-    pub keepalive_reuses: u64,
-    /// Requests parsed behind an in-flight request on the same connection.
-    pub pipelined_requests: u64,
-    /// Connections closed by the idle-timeout sweep.
-    pub idle_closed: u64,
-    /// Connections rejected by the per-IP accept cap.
-    pub rejected_per_ip: u64,
-    /// Requests currently waiting in the admission queue.
-    #[serde(default)]
-    pub admission_queue_depth: u64,
-    /// Requests shed by the admission queue under overload.
-    #[serde(default)]
-    pub admission_shed: u64,
-}
-
-impl TransportMetrics {
-    /// Creates zeroed metrics.
-    #[must_use]
-    pub fn new() -> Self {
-        TransportMetrics::default()
-    }
-
-    /// Takes a relaxed snapshot of the gauges and counters.
-    #[must_use]
-    pub fn snapshot(&self) -> TransportSnapshot {
-        TransportSnapshot {
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            connections_idle: self.connections_idle.load(Ordering::Relaxed),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            keepalive_reuses: self.keepalive_reuses.load(Ordering::Relaxed),
-            pipelined_requests: self.pipelined_requests.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            rejected_per_ip: self.rejected_per_ip.load(Ordering::Relaxed),
-            admission_queue_depth: self.admission_queue_depth.load(Ordering::Relaxed),
-            admission_shed: self.admission_shed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Renders the admission-queue wait-time histogram in Prometheus text
-    /// exposition format (appended to `GET /metrics` after the transport
-    /// counters).
-    #[must_use]
-    pub fn render_admission_wait(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "# HELP tessel_admission_wait_seconds Time requests waited in the admission queue.\n",
-        );
-        out.push_str("# TYPE tessel_admission_wait_seconds histogram\n");
-        render_prometheus_histogram(
-            &mut out,
-            "tessel_admission_wait_seconds",
-            "",
-            &self.admission_wait,
-        );
-        out
-    }
-}
-
-impl TransportSnapshot {
-    /// Renders the snapshot in Prometheus text exposition format (appended
-    /// after the service-level metrics in `GET /metrics`).
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut metric = |name: &str, help: &str, value: u64| {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            out.push_str(&format!("# HELP tessel_http_{name} {help}\n"));
-            out.push_str(&format!("# TYPE tessel_http_{name} {kind}\n"));
-            out.push_str(&format!("tessel_http_{name} {value}\n"));
-        };
-        metric(
-            "connections_open",
-            "Connections currently open.",
-            self.connections_open,
-        );
-        metric(
-            "connections_idle",
-            "Open connections with no request in flight.",
-            self.connections_idle,
-        );
-        metric(
-            "connections_accepted_total",
-            "Connections accepted since startup.",
-            self.connections_accepted,
-        );
-        metric(
-            "keepalive_reuses_total",
-            "Requests served over a reused (kept-alive) connection.",
-            self.keepalive_reuses,
-        );
-        metric(
-            "pipelined_requests_total",
-            "Requests parsed behind an in-flight request on the same connection.",
-            self.pipelined_requests,
-        );
-        metric(
-            "idle_closed_total",
-            "Connections closed by the idle-timeout sweep.",
-            self.idle_closed,
-        );
-        metric(
-            "rejected_per_ip_total",
-            "Connections rejected by the per-IP accept cap.",
-            self.rejected_per_ip,
-        );
+instruments! {
+    /// Live transport-level metrics of the HTTP event loop.
+    ///
+    /// Owned by [`crate::HttpServer`]; the event-loop thread updates the
+    /// gauges as connections open, go idle and close.
+    pub struct TransportMetrics {
+        connections_open: Metric::gauge("tessel_http_connections_open", "Connections currently open."),
+        connections_idle: Metric::gauge(
+            "tessel_http_connections_idle",
+            "Open connections with no request in flight."
+        ),
+        connections_accepted: Metric::counter(
+            "tessel_http_connections_accepted_total",
+            "Connections accepted since startup."
+        ),
+        keepalive_reuses: Metric::counter(
+            "tessel_http_keepalive_reuses_total",
+            "Requests served over a reused (kept-alive) connection."
+        ),
+        pipelined_requests: Metric::counter(
+            "tessel_http_pipelined_requests_total",
+            "Requests parsed behind an in-flight request on the same connection."
+        ),
+        idle_closed: Metric::counter(
+            "tessel_http_idle_closed_total",
+            "Connections closed by the idle-timeout sweep."
+        ),
+        rejected_per_ip: Metric::counter(
+            "tessel_http_rejected_per_ip_total",
+            "Connections rejected by the per-IP accept cap."
+        ),
         // Admission-control series live under `tessel_admission_` (not
         // `tessel_http_`): they describe queueing policy, not the socket
         // layer, and the bench tooling greps for them by that prefix.
-        out.push_str(
-            "# HELP tessel_admission_queue_depth Requests currently waiting in the admission queue.\n",
-        );
-        out.push_str("# TYPE tessel_admission_queue_depth gauge\n");
-        out.push_str(&format!(
-            "tessel_admission_queue_depth {}\n",
-            self.admission_queue_depth
-        ));
-        out.push_str(
-            "# HELP tessel_admission_shed_total Requests shed by the admission queue under overload.\n",
-        );
-        out.push_str("# TYPE tessel_admission_shed_total counter\n");
-        out.push_str(&format!(
-            "tessel_admission_shed_total {}\n",
-            self.admission_shed
-        ));
-        out
+        admission_queue_depth: Metric::gauge(
+            "tessel_admission_queue_depth",
+            "Requests currently waiting in the admission queue."
+        ),
+        admission_shed: Metric::counter(
+            "tessel_admission_shed_total",
+            "Requests shed by the admission queue under overload."
+        ),
+        admission_wait: HistogramFamily::unlabeled(
+            "tessel_admission_wait_seconds",
+            "Time requests waited in the admission queue."
+        ),
     }
 }
 
-/// Live counters of the cluster tier.
-///
-/// Owned by [`crate::cluster::Cluster`]; the request path counts remote
-/// hits/misses/errors, the replication worker counts deliveries, and the
-/// peer gauges are sampled at snapshot time from the peer table.
-#[derive(Debug, Default)]
-pub struct ClusterMetrics {
-    /// Local misses served by the ring owner's cache.
-    pub remote_hits: AtomicU64,
-    /// Local misses the owner also missed (solved locally, then replicated).
-    pub remote_misses: AtomicU64,
-    /// Owner fetches that failed (unreachable peer, open circuit, unusable
-    /// payload) and degraded to a local solve.
-    pub remote_errors: AtomicU64,
-    /// Entries successfully replicated to their owner.
-    pub replications_sent: AtomicU64,
-    /// Entries accepted from a non-owner daemon via `PUT /v1/cache/{fp}`.
-    pub replications_received: AtomicU64,
-    /// Replication payloads rejected by validation (fingerprint mismatch,
-    /// invalid schedule).
-    pub replications_rejected: AtomicU64,
-    /// Replication deliveries that failed (owner unreachable or erroring).
-    pub replication_errors: AtomicU64,
-    /// Replication jobs dropped because the bounded queue was full.
-    pub replication_dropped: AtomicU64,
-    /// Entries streamed from peers during startup warm-up.
-    pub warmup_entries: AtomicU64,
+impl TransportMetrics {
+    /// Appends the transport's series to `out`.
+    pub fn render(&self, out: &mut String) {
+        for metric in [
+            &self.connections_open,
+            &self.connections_idle,
+            &self.connections_accepted,
+            &self.keepalive_reuses,
+            &self.pipelined_requests,
+            &self.idle_closed,
+            &self.rejected_per_ip,
+            &self.admission_queue_depth,
+            &self.admission_shed,
+        ] {
+            metric.render(out);
+        }
+        self.admission_wait.render(out);
+    }
 }
 
-/// Point-in-time snapshot of [`ClusterMetrics`] plus the peer gauges.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClusterSnapshot {
-    /// Local misses served by the ring owner's cache.
-    pub remote_hits: u64,
-    /// Local misses the owner also missed.
-    pub remote_misses: u64,
-    /// Owner fetches that degraded to a local solve.
-    pub remote_errors: u64,
-    /// Entries successfully replicated to their owner.
-    pub replications_sent: u64,
-    /// Entries accepted from a non-owner daemon.
-    pub replications_received: u64,
-    /// Replication payloads rejected by validation.
-    pub replications_rejected: u64,
-    /// Replication deliveries that failed.
-    pub replication_errors: u64,
-    /// Replication jobs dropped by the bounded queue.
-    pub replication_dropped: u64,
-    /// Entries streamed from peers during warm-up.
-    pub warmup_entries: u64,
-    /// Configured peers.
-    pub peers_total: u64,
-    /// Peers whose last contact succeeded.
-    pub peers_healthy: u64,
-    /// Peers with an open circuit right now.
-    pub circuits_open: u64,
+instruments! {
+    /// Live counters of the cluster tier.
+    ///
+    /// Owned by [`crate::cluster::Cluster`]; the request path counts remote
+    /// hits/misses/errors and the replication worker counts deliveries.
+    pub struct ClusterMetrics {
+        remote_hits: Metric::counter(
+            "tessel_cluster_remote_hits_total",
+            "Local misses served by the ring owner's cache."
+        ),
+        remote_misses: Metric::counter(
+            "tessel_cluster_remote_misses_total",
+            "Local misses the ring owner also missed."
+        ),
+        // An unreachable peer, an open circuit or an unusable payload.
+        remote_errors: Metric::counter(
+            "tessel_cluster_remote_errors_total",
+            "Owner fetches that degraded to a local solve."
+        ),
+        replications_sent: Metric::counter(
+            "tessel_cluster_replications_sent_total",
+            "Entries successfully replicated to their owner."
+        ),
+        replications_received: Metric::counter(
+            "tessel_cluster_replications_received_total",
+            "Entries accepted from a non-owner daemon."
+        ),
+        replications_rejected: Metric::counter(
+            "tessel_cluster_replications_rejected_total",
+            "Replication payloads rejected by validation."
+        ),
+        replication_errors: Metric::counter(
+            "tessel_cluster_replication_errors_total",
+            "Replication deliveries that failed."
+        ),
+        replication_dropped: Metric::counter(
+            "tessel_cluster_replication_dropped_total",
+            "Replication jobs dropped by the bounded queue."
+        ),
+        warmup_entries: Metric::counter(
+            "tessel_cluster_warmup_entries_total",
+            "Entries streamed from peers during startup warm-up."
+        ),
+    }
 }
+
+// Named without the `_total` suffix: a configured-peer count is a gauge, and
+// Prometheus reserves `_total` for counters.
+const PEERS: Desc = Desc::gauge("tessel_cluster_peers", "Configured peers.");
+const PEERS_HEALTHY: Desc = Desc::gauge(
+    "tessel_cluster_peers_healthy",
+    "Peers whose last contact succeeded.",
+);
+const CIRCUITS_OPEN: Desc = Desc::gauge(
+    "tessel_cluster_circuits_open",
+    "Peers with an open circuit right now.",
+);
 
 impl ClusterMetrics {
-    /// Creates zeroed metrics.
-    #[must_use]
-    pub fn new() -> Self {
-        ClusterMetrics::default()
-    }
-
-    /// Takes a relaxed snapshot, folding in the peer gauges sampled by the
-    /// caller.
-    #[must_use]
-    pub fn snapshot(
-        &self,
-        peers_total: u64,
-        peers_healthy: u64,
-        circuits_open: u64,
-    ) -> ClusterSnapshot {
-        ClusterSnapshot {
-            remote_hits: self.remote_hits.load(Ordering::Relaxed),
-            remote_misses: self.remote_misses.load(Ordering::Relaxed),
-            remote_errors: self.remote_errors.load(Ordering::Relaxed),
-            replications_sent: self.replications_sent.load(Ordering::Relaxed),
-            replications_received: self.replications_received.load(Ordering::Relaxed),
-            replications_rejected: self.replications_rejected.load(Ordering::Relaxed),
-            replication_errors: self.replication_errors.load(Ordering::Relaxed),
-            replication_dropped: self.replication_dropped.load(Ordering::Relaxed),
-            warmup_entries: self.warmup_entries.load(Ordering::Relaxed),
-            peers_total,
-            peers_healthy,
-            circuits_open,
+    /// Appends the cluster's series to `out`; the peer gauges are sampled
+    /// by the caller from the peer table.
+    pub fn render(&self, out: &mut String, peers: u64, peers_healthy: u64, circuits_open: u64) {
+        for metric in [
+            &self.remote_hits,
+            &self.remote_misses,
+            &self.remote_errors,
+            &self.replications_sent,
+            &self.replications_received,
+            &self.replications_rejected,
+            &self.replication_errors,
+            &self.replication_dropped,
+            &self.warmup_entries,
+        ] {
+            metric.render(out);
         }
-    }
-}
-
-impl ClusterSnapshot {
-    /// Renders the snapshot in Prometheus text exposition format (appended
-    /// after the transport metrics in `GET /metrics` when cluster mode is
-    /// on).
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut metric = |name: &str, help: &str, value: u64| {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            out.push_str(&format!("# HELP tessel_cluster_{name} {help}\n"));
-            out.push_str(&format!("# TYPE tessel_cluster_{name} {kind}\n"));
-            out.push_str(&format!("tessel_cluster_{name} {value}\n"));
-        };
-        metric(
-            "remote_hits_total",
-            "Local misses served by the ring owner's cache.",
-            self.remote_hits,
-        );
-        metric(
-            "remote_misses_total",
-            "Local misses the ring owner also missed.",
-            self.remote_misses,
-        );
-        metric(
-            "remote_errors_total",
-            "Owner fetches that degraded to a local solve.",
-            self.remote_errors,
-        );
-        metric(
-            "replications_sent_total",
-            "Entries successfully replicated to their owner.",
-            self.replications_sent,
-        );
-        metric(
-            "replications_received_total",
-            "Entries accepted from a non-owner daemon.",
-            self.replications_received,
-        );
-        metric(
-            "replications_rejected_total",
-            "Replication payloads rejected by validation.",
-            self.replications_rejected,
-        );
-        metric(
-            "replication_errors_total",
-            "Replication deliveries that failed.",
-            self.replication_errors,
-        );
-        metric(
-            "replication_dropped_total",
-            "Replication jobs dropped by the bounded queue.",
-            self.replication_dropped,
-        );
-        metric(
-            "warmup_entries_total",
-            "Entries streamed from peers during startup warm-up.",
-            self.warmup_entries,
-        );
-        // Named without the `_total` suffix: a configured-peer count is a
-        // gauge, and Prometheus reserves `_total` for counters.
-        metric("peers", "Configured peers.", self.peers_total);
-        metric(
-            "peers_healthy",
-            "Peers whose last contact succeeded.",
-            self.peers_healthy,
-        );
-        metric(
-            "circuits_open",
-            "Peers with an open circuit right now.",
-            self.circuits_open,
-        );
-        out
+        PEERS.render(out, peers);
+        PEERS_HEALTHY.render(out, peers_healthy);
+        CIRCUITS_OPEN.render(out, circuits_open);
     }
 }
 
@@ -908,85 +398,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transport_snapshot_renders_gauges_and_counters() {
-        let m = TransportMetrics::new();
-        m.connections_open.fetch_add(3, Ordering::Relaxed);
-        m.connections_idle.fetch_add(2, Ordering::Relaxed);
-        m.keepalive_reuses.fetch_add(5, Ordering::Relaxed);
-        let snap = m.snapshot();
-        assert_eq!(snap.connections_open, 3);
-        assert_eq!(snap.keepalive_reuses, 5);
-        let text = snap.render_prometheus();
-        assert!(text.contains("tessel_http_connections_open 3"));
-        assert!(text.contains("# TYPE tessel_http_connections_open gauge"));
-        assert!(text.contains("tessel_http_keepalive_reuses_total 5"));
-        assert!(text.contains("# TYPE tessel_http_keepalive_reuses_total counter"));
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: TransportSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn latency_quantiles_follow_the_buckets() {
-        let m = ServiceMetrics::new();
-        assert_eq!(m.latency_quantile_ms(0.5), 0.0);
-        for _ in 0..99 {
-            m.record_latency(Duration::from_micros(100)); // bucket 6: [64, 128)
-        }
-        m.record_latency(Duration::from_millis(100)); // ~bucket 16
-        let p50 = m.latency_quantile_ms(0.50);
-        assert!((p50 - 0.128).abs() < 1e-9, "p50={p50}");
-        let p99 = m.latency_quantile_ms(0.99);
-        assert!((p99 - 0.128).abs() < 1e-9, "p99={p99}");
-        let p100 = m.latency_quantile_ms(1.0);
-        assert!(p100 > 100.0, "p100={p100}");
-    }
-
-    #[test]
-    fn snapshot_and_prometheus_rendering() {
-        let m = ServiceMetrics::new();
-        m.requests.fetch_add(3, Ordering::Relaxed);
-        m.cache_hits.fetch_add(2, Ordering::Relaxed);
-        m.cache_misses.fetch_add(1, Ordering::Relaxed);
-        m.record_latency(Duration::from_millis(2));
-        m.record_solver(&SolverTotals {
-            solves: 7,
-            nodes: 1000,
-            pruned_bound: 50,
-            pruned_dominance: 40,
-            steals: 3,
-            shared_memo_hits: 9,
-            cas_retries: 11,
-            steal_failures: 12,
-            memo_drops: 13,
-            warmstart_micros: 14,
-            parallel_micros: 15,
-        });
-        let snap = m.snapshot(4, 1);
-        assert_eq!(snap.requests, 3);
-        assert!((snap.hit_rate - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(snap.cache_entries, 4);
-        assert_eq!(snap.solver_solves, 7);
-        assert_eq!(snap.solver_nodes, 1000);
-        assert_eq!(snap.solver_steals, 3);
-        assert_eq!(snap.solver_shared_memo_hits, 9);
-        let text = snap.render_prometheus();
-        assert!(text.contains("tessel_requests_total 3"));
-        assert!(text.contains("tessel_cache_hits_total 2"));
-        assert!(text.contains("# TYPE tessel_requests_total counter"));
-        assert!(text.contains("# TYPE tessel_cache_hit_rate gauge"));
-        assert!(text.contains("tessel_solver_nodes_total 1000"));
-        assert!(text.contains("tessel_solver_steals_total 3"));
-        assert!(text.contains("tessel_solver_shared_memo_hits_total 9"));
-        assert!(text.contains("tessel_solver_cas_retries_total 11"));
-        assert!(text.contains("tessel_solver_steal_failures_total 12"));
-        assert!(text.contains("tessel_solver_memo_drops_total 13"));
-        assert!(text.contains("# TYPE tessel_solver_solves_total counter"));
-        assert!(text.contains("# TYPE tessel_solver_cas_retries_total counter"));
-        // JSON round trip for the in-process API.
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
+    fn hit_rate_counts_only_hits_and_misses() {
+        let m = ServiceMetrics::default();
+        assert_eq!(m.hit_rate(), 0.0);
+        m.cache_hits.add(2);
+        m.cache_misses.inc();
+        m.coalesced.add(5);
+        m.errors.add(5);
+        assert!((m.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1033,13 +452,14 @@ mod tests {
 
     #[test]
     fn histogram_families_render_bucket_series() {
-        let m = ServiceMetrics::new();
+        let m = ServiceMetrics::default();
         m.observe_endpoint_micros("/v1/search", 3_000);
         m.observe_endpoint_micros("no-such-endpoint", 10); // lands in `other`
-        m.observe_stage_micros("solve", 2_500);
-        m.observe_stage_micros("write", 80);
-        m.observe_stage_micros("not-a-stage", 1); // dropped
-        let text = m.render_histograms();
+        m.stage_durations.observe_micros("solve", 2_500);
+        m.stage_durations.observe_micros("write", 80);
+        m.stage_durations.observe_micros("not-a-stage", 1); // dropped
+        let mut text = String::new();
+        m.render(&mut text, 0, 0);
         assert!(text.contains("# TYPE tessel_http_request_duration_seconds histogram"));
         assert!(text.contains(
             "tessel_http_request_duration_seconds_bucket{endpoint=\"/v1/search\",le=\"0.005\"} 1"

@@ -19,10 +19,10 @@
 //!    are **not** cached.
 
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
-use crate::cluster::{Cluster, ClusterConfig, ClusterSnapshot, RemoteFetch};
+use crate::cluster::{Cluster, ClusterConfig, RemoteFetch};
 use crate::flight::{now_unix_ms, FlightQuery, FlightRecord, FlightRecorder, StageTiming};
 use crate::inflight::{self, InflightGuard, InflightRegistry};
-use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::metrics::ServiceMetrics;
 use crate::singleflight::{Joined, SingleFlight};
 use crate::wire::{
     BatchSearchItem, BatchSearchRequest, BatchSearchResponse, CacheEntryInfo, CacheExchange,
@@ -33,7 +33,6 @@ use crate::wire::{
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tessel_core::fingerprint::{CanonicalPlacement, Fingerprint};
@@ -124,11 +123,6 @@ pub struct ServiceConfig {
     ///
     /// [`SolverConfig::steal_depth`]: tessel_solver::SolverConfig::steal_depth
     pub solver_steal_depth: usize,
-    /// Shard count of the parallel solver's shared dominance table (see
-    /// [`SolverConfig::dominance_shards`]).
-    ///
-    /// [`SolverConfig::dominance_shards`]: tessel_solver::SolverConfig::dominance_shards
-    pub solver_memo_shards: usize,
     /// Optional cap on candidates per `NR` level.
     pub candidate_limit: Option<usize>,
     /// Deadline applied when a request does not carry one.
@@ -167,7 +161,6 @@ impl Default for ServiceConfig {
             solver_threads: 1,
             max_solver_threads: 8,
             solver_steal_depth: solver_defaults.steal_depth,
-            solver_memo_shards: solver_defaults.dominance_shards,
             candidate_limit: None,
             default_deadline: Some(Duration::from_secs(60)),
             journal_compact_every: 64,
@@ -213,7 +206,7 @@ struct InFlightGuard<'a>(&'a ServiceMetrics);
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.0.in_flight.dec();
     }
 }
 
@@ -305,7 +298,7 @@ impl ScheduleService {
         // request relying on the default would be rejected.
         config.max_repetend_ceiling = config.max_repetend_ceiling.max(config.default_max_repetend);
         let cache = ShardedCache::new(&config.cache);
-        let metrics = ServiceMetrics::new();
+        let metrics = ServiceMetrics::default();
         let journal = config
             .cache_path
             .clone()
@@ -326,9 +319,7 @@ impl ScheduleService {
             }) {
                 Ok(outcome) => {
                     if outcome.dropped > 0 {
-                        metrics
-                            .journal_stale_dropped
-                            .fetch_add(outcome.dropped as u64, Ordering::Relaxed);
+                        metrics.journal_stale_dropped.add(outcome.dropped as u64);
                         tessel_obs::warn(
                             "cache",
                             "dropped stale cache-journal entries whose fingerprints no longer re-canonicalize",
@@ -440,18 +431,17 @@ impl ScheduleService {
         // before routing in; in-process callers are registered here, by the
         // same ownership rule as the trace context above.
         let _inflight = owns_context.then(|| self.register_inflight("CALL", "/v1/search", None));
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.requests.inc();
         let result = self.search_inner(request, arrived, sink);
         match &result {
             Ok(_) => {}
             Err(ServiceError::Timeout(_)) => {
-                self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                self.metrics.timeouts.inc();
             }
             Err(_) => {
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                self.metrics.errors.inc();
             }
         }
-        self.metrics.record_latency(arrived.elapsed());
         if owns_context {
             if let Some(finished) = tessel_obs::end_request() {
                 let status = match &result {
@@ -525,7 +515,7 @@ impl ScheduleService {
         sink: Option<&IncumbentSink>,
     ) -> Result<Obtained, ServiceError> {
         if let Some(entry) = live_stage("cache_lookup", || self.cache_lookup(key, canon, params)) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.cache_hits.inc();
             return Ok(Obtained {
                 entry,
                 cached: true,
@@ -596,7 +586,7 @@ impl ScheduleService {
                                 coalesced: false,
                             })
                         } else {
-                            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.cache_misses.inc();
                             Ok(Obtained {
                                 entry,
                                 cached: false,
@@ -608,7 +598,7 @@ impl ScheduleService {
                 }
             }
             Joined::Done(result) => {
-                self.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
+                self.metrics.coalesced.inc();
                 Ok(Obtained {
                     entry: result?,
                     cached: false,
@@ -639,9 +629,7 @@ impl ScheduleService {
             deadline: Option<Instant>,
             solver_threads: usize,
         }
-        self.metrics
-            .requests
-            .fetch_add(batch.requests.len() as u64, Ordering::Relaxed);
+        self.metrics.requests.add(batch.requests.len() as u64);
         // Canonicalize everything first: dedup needs every member's key
         // before the first solve starts. Invalid members fail alone without
         // sinking the batch.
@@ -725,14 +713,10 @@ impl ScheduleService {
                     // they asked for the same solve.
                     match &e {
                         ServiceError::Timeout(_) => {
-                            self.metrics
-                                .timeouts
-                                .fetch_add(members.len() as u64, Ordering::Relaxed);
+                            self.metrics.timeouts.add(members.len() as u64);
                         }
                         _ => {
-                            self.metrics
-                                .errors
-                                .fetch_add(members.len() as u64, Ordering::Relaxed);
+                            self.metrics.errors.add(members.len() as u64);
                         }
                     }
                     for &index in members {
@@ -751,7 +735,7 @@ impl ScheduleService {
         // Members that failed preparation (and never joined a group).
         for (index, prep) in prepared.iter().enumerate() {
             if let Err(e) = prep {
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                self.metrics.errors.inc();
                 results[index] = Some(BatchSearchItem {
                     ok: None,
                     error: Some(ErrorBody {
@@ -762,10 +746,7 @@ impl ScheduleService {
                 });
             }
         }
-        self.metrics
-            .batch_deduped
-            .fetch_add(deduped_total as u64, Ordering::Relaxed);
-        self.metrics.record_latency(arrived.elapsed());
+        self.metrics.batch_deduped.add(deduped_total as u64);
         BatchSearchResponse {
             results: results
                 .into_iter()
@@ -784,9 +765,7 @@ impl ScheduleService {
     fn canonicalize_budgeted(&self, placement: &PlacementSpec) -> CanonicalPlacement {
         let (canon, stats) = placement.canonicalize_budgeted(self.config.canon_node_budget);
         if stats.budget_exhausted {
-            self.metrics
-                .canon_budget_exhausted
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.canon_budget_exhausted.inc();
             tessel_obs::warn(
                 "fingerprint",
                 "canonical-labeling node budget exhausted; labeling completed greedily",
@@ -816,9 +795,7 @@ impl ScheduleService {
             return None;
         }
         if self.config.paranoid_fingerprints && entry.canonical_placement != canon.placement {
-            self.metrics
-                .fingerprint_paranoia_mismatches
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.fingerprint_paranoia_mismatches.inc();
             tessel_obs::warn(
                 "cache",
                 "fingerprint paranoia: canonical form mismatch on lookup",
@@ -900,7 +877,7 @@ impl ScheduleService {
         solver_threads: usize,
         sink: Option<&IncumbentSink>,
     ) -> Result<Arc<CachedSearch>, ServiceError> {
-        self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.metrics.in_flight.inc();
         let _guard = InFlightGuard(&self.metrics);
 
         let started = Instant::now();
@@ -930,7 +907,6 @@ impl ScheduleService {
         let board = inflight::with_current(|entry| entry.board().clone());
         for solver in [&mut config.repetend_solver, &mut config.phase_solver] {
             solver.steal_depth = self.config.solver_steal_depth;
-            solver.dominance_shards = self.config.solver_memo_shards;
             solver.progress = board.clone();
         }
 
@@ -1091,11 +1067,11 @@ impl ScheduleService {
         }
     }
 
-    /// A point-in-time metrics snapshot.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    /// Appends the service series of `GET /metrics` to `out`, sampling the
+    /// cache gauges.
+    pub fn render_metrics(&self, out: &mut String) {
         self.metrics
-            .snapshot(self.cache.len() as u64, self.cache.evictions())
+            .render(out, self.cache.len() as u64, self.cache.evictions());
     }
 
     /// The live service metrics (the HTTP transport records per-endpoint and
@@ -1245,7 +1221,9 @@ impl ScheduleService {
     /// [`ScheduleService::search`] for in-process callers.
     pub fn record_flight(&self, record: FlightRecord) {
         for stage in &record.stages {
-            self.metrics.observe_stage_micros(&stage.name, stage.micros);
+            self.metrics
+                .stage_durations
+                .observe_micros(&stage.name, stage.micros);
         }
         self.recorder.record(record);
     }
@@ -1277,13 +1255,6 @@ impl ScheduleService {
         fingerprint: Option<Fingerprint>,
     ) -> Option<ClusterStatusResponse> {
         self.cluster.as_ref().map(|c| c.status(fingerprint))
-    }
-
-    /// A point-in-time snapshot of the cluster counters; `None` when the
-    /// daemon runs standalone.
-    #[must_use]
-    pub fn cluster_snapshot(&self) -> Option<ClusterSnapshot> {
-        self.cluster.as_ref().map(Cluster::snapshot)
     }
 
     /// Validates one full wire entry claimed to belong to `fingerprint`
@@ -1323,9 +1294,7 @@ impl ScheduleService {
         }
         let (canon, stats) = placement.canonicalize_budgeted(self.config.canon_node_budget);
         if stats.budget_exhausted {
-            self.metrics
-                .canon_budget_exhausted
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.canon_budget_exhausted.inc();
             tessel_obs::warn(
                 "cluster",
                 "rejecting wire entry: canonical-labeling budget exhausted while re-verifying the claimed fingerprint",
@@ -1334,9 +1303,7 @@ impl ScheduleService {
             return None;
         }
         if canon.fingerprint != fingerprint {
-            self.metrics
-                .fingerprint_wire_mismatches
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.fingerprint_wire_mismatches.inc();
             tessel_obs::warn(
                 "cluster",
                 "rejecting wire entry: shipped placement does not re-canonicalize to its claimed fingerprint",
@@ -1386,15 +1353,14 @@ impl ScheduleService {
             ack.accepted += 1;
         }
         if let Some(cluster) = &self.cluster {
-            use std::sync::atomic::Ordering as AtomicOrdering;
             cluster
                 .metrics()
                 .replications_received
-                .fetch_add(ack.accepted as u64, AtomicOrdering::Relaxed);
+                .add(ack.accepted as u64);
             cluster
                 .metrics()
                 .replications_rejected
-                .fetch_add(ack.rejected as u64, AtomicOrdering::Relaxed);
+                .add(ack.rejected as u64);
         }
         ack
     }
@@ -1501,10 +1467,10 @@ mod tests {
         // bookkeeping fields, which describe the request, not the result).
         let render = |r: &SearchResponse| serde_json::to_string(&r.schedule).unwrap();
         assert_eq!(render(&first), render(&second));
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
+        let snap = service.metrics();
+        assert_eq!(snap.requests.get(), 2);
+        assert_eq!(snap.cache_hits.get(), 1);
+        assert_eq!(snap.cache_misses.get(), 1);
     }
 
     #[test]
@@ -1535,8 +1501,8 @@ mod tests {
         let err = service.search(&request).unwrap_err();
         assert!(matches!(err, ServiceError::Timeout(_)), "{err:?}");
         assert_eq!(service.cache_entries().len(), 0);
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.timeouts, 1);
+        let snap = service.metrics();
+        assert_eq!(snap.timeouts.get(), 1);
         // The same placement without a deadline succeeds afterwards: the
         // timeout left no poisoned entry behind.
         request.deadline_ms = None;
@@ -1560,8 +1526,8 @@ mod tests {
             service.search(&request).unwrap_err(),
             ServiceError::BadRequest(_)
         ));
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.errors, 2);
+        let snap = service.metrics();
+        assert_eq!(snap.errors.get(), 2);
     }
 
     #[test]
@@ -1596,18 +1562,18 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         let periods: Vec<u64> = responses.iter().map(|r| r.period).collect();
         assert!(periods.windows(2).all(|w| w[0] == w[1]));
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.requests, 6);
+        let snap = service.metrics();
+        assert_eq!(snap.requests.get(), 6);
         // Every request either hit the cache, ran the one real search, or
         // was coalesced onto it — but the solver ran at most... once per
         // concurrent non-coalesced straggler; the common case is exactly one
         // miss. At minimum, coalescing plus caching must cover the rest.
         assert_eq!(
-            snap.cache_hits + snap.cache_misses + snap.coalesced,
+            snap.cache_hits.get() + snap.cache_misses.get() + snap.coalesced.get(),
             6,
             "{snap:?}"
         );
-        assert!(snap.cache_misses >= 1);
+        assert!(snap.cache_misses.get() >= 1);
     }
 
     #[test]
@@ -1616,22 +1582,24 @@ mod tests {
         let response = service
             .search(&SearchRequest::for_placement(v_shape(2)))
             .unwrap();
-        let snap = service.metrics_snapshot();
-        assert!(snap.solver_solves > 0, "{snap:?}");
-        assert!(snap.solver_nodes > 0, "{snap:?}");
-        assert!(snap.solver_shared_memo_hits <= snap.solver_pruned_dominance);
-        let rendered = snap.render_prometheus();
-        assert!(rendered.contains("tessel_solver_nodes_total"));
+        let metrics = service.metrics();
+        let nodes = metrics.solver_nodes.get();
+        assert!(metrics.solver_solves.get() > 0, "{metrics:?}");
+        assert!(nodes > 0, "{metrics:?}");
+        assert!(metrics.solver_shared_memo_hits.get() <= metrics.solver_pruned_dominance.get());
+        let mut rendered = String::new();
+        service.render_metrics(&mut rendered);
+        assert!(rendered.contains(&format!("tessel_solver_nodes_total {nodes}\n")));
         assert!(rendered.contains("tessel_solver_steals_total"));
         // The inspect payload carries the per-search totals.
         let inspect = service.inspect(response.fingerprint);
         assert_eq!(inspect.entries.len(), 1);
-        assert_eq!(inspect.entries[0].solver.nodes, snap.solver_nodes);
+        assert_eq!(inspect.entries[0].solver.nodes, nodes);
         // Cache hits do not re-run the solver: the counters stay put.
         service
             .search(&SearchRequest::for_placement(v_shape(2)))
             .unwrap();
-        assert_eq!(service.metrics_snapshot().solver_nodes, snap.solver_nodes);
+        assert_eq!(metrics.solver_nodes.get(), nodes);
     }
 
     #[test]
@@ -1659,7 +1627,7 @@ mod tests {
             started.elapsed()
         );
         assert_eq!(service.cache_entries().len(), 0);
-        assert_eq!(service.metrics_snapshot().timeouts, 1);
+        assert_eq!(service.metrics().timeouts.get(), 1);
         // Same placement without the deadline: clean search, cached result.
         request.deadline_ms = None;
         let ok = service.search(&request).unwrap();
@@ -1814,7 +1782,8 @@ mod tests {
         assert_eq!(debug.slowest.len(), 2);
         assert_eq!(debug.slowest[0].trace_id, miss.trace_id);
         // Stage timings reached the per-stage histogram family.
-        let histograms = service.metrics().render_histograms();
+        let mut histograms = String::new();
+        service.render_metrics(&mut histograms);
         assert!(
             histograms.contains("tessel_request_stage_duration_seconds_count{stage=\"solve\"} 1"),
             "{histograms}"
@@ -1889,11 +1858,11 @@ mod tests {
         assert!(response.results[3].error.is_some());
         // The CI smoke asserts on exactly these deltas: one real miss, no
         // hits, the shared members counted only as deduped.
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.cache_misses, 1, "{snap:?}");
-        assert_eq!(snap.cache_hits, 0, "{snap:?}");
-        assert_eq!(snap.batch_deduped, 2, "{snap:?}");
-        assert_eq!(snap.errors, 1, "{snap:?}");
+        let snap = service.metrics();
+        assert_eq!(snap.cache_misses.get(), 1, "{snap:?}");
+        assert_eq!(snap.cache_hits.get(), 0, "{snap:?}");
+        assert_eq!(snap.batch_deduped.get(), 2, "{snap:?}");
+        assert_eq!(snap.errors.get(), 1, "{snap:?}");
     }
 
     #[test]
@@ -1924,8 +1893,8 @@ mod tests {
         std::fs::write(&path, tampered).unwrap();
         let service = ScheduleService::new(config).unwrap();
         assert_eq!(service.cache_entries().len(), 0, "stale entry must drop");
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.journal_stale_dropped, 1, "{snap:?}");
+        let snap = service.metrics();
+        assert_eq!(snap.journal_stale_dropped.get(), 1, "{snap:?}");
         // The same placement solves cleanly afterwards (no poisoned state),
         // and the startup compaction already purged the dead record.
         assert!(!service.search(&request).unwrap().cached);

@@ -8,7 +8,6 @@
 //! three metric structs. Both live pages also pass the exposition-format
 //! checker.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tessel_service::http::http_call;
 use tessel_service::{
@@ -67,10 +66,6 @@ const LOCAL_FAMILIES: &str = "\
 # TYPE tessel_cache_entries gauge
 # HELP tessel_cache_evictions_total LRU evictions so far.
 # TYPE tessel_cache_evictions_total counter
-# HELP tessel_request_latency_p50_ms Median request latency (bucket upper bound).
-# TYPE tessel_request_latency_p50_ms gauge
-# HELP tessel_request_latency_p99_ms 99th-percentile request latency (bucket upper bound).
-# TYPE tessel_request_latency_p99_ms gauge
 # HELP tessel_http_request_duration_seconds End-to-end request duration by endpoint.
 # TYPE tessel_http_request_duration_seconds histogram
 # HELP tessel_request_stage_duration_seconds Time spent per request-lifecycle stage.
@@ -158,8 +153,6 @@ tessel_cache_journal_stale_dropped_total 25
 tessel_cache_hit_rate 0.6666666666666666
 tessel_cache_entries 26
 tessel_cache_evictions_total 27
-tessel_request_latency_p50_ms 0
-tessel_request_latency_p99_ms 0
 tessel_http_connections_open 31
 tessel_http_connections_idle 32
 tessel_http_connections_accepted_total 33
@@ -241,7 +234,7 @@ fn counter_and_gauge_samples(page: &str) -> String {
 /// The service, transport and cluster metrics rendered with a distinct
 /// value recorded in every stored series.
 fn recorded_page() -> String {
-    let service = ServiceMetrics::new();
+    let service = ServiceMetrics::default();
     for (metric, value) in [
         (&service.requests, 30),
         (&service.cache_hits, 20),
@@ -256,7 +249,7 @@ fn recorded_page() -> String {
         (&service.batch_deduped, 24),
         (&service.journal_stale_dropped, 25),
     ] {
-        metric.fetch_add(value, Ordering::Relaxed);
+        metric.add(value);
     }
     service.record_solver(&SolverTotals {
         solves: 11,
@@ -271,7 +264,7 @@ fn recorded_page() -> String {
         warmstart_micros: 0,
         parallel_micros: 0,
     });
-    let transport = TransportMetrics::new();
+    let transport = TransportMetrics::default();
     for (metric, value) in [
         (&transport.connections_open, 31),
         (&transport.connections_idle, 32),
@@ -283,9 +276,9 @@ fn recorded_page() -> String {
         (&transport.admission_queue_depth, 38),
         (&transport.admission_shed, 39),
     ] {
-        metric.fetch_add(value, Ordering::Relaxed);
+        metric.add(value);
     }
-    let cluster = ClusterMetrics::new();
+    let cluster = ClusterMetrics::default();
     for (metric, value) in [
         (&cluster.remote_hits, 41),
         (&cluster.remote_misses, 42),
@@ -297,13 +290,13 @@ fn recorded_page() -> String {
         (&cluster.replication_dropped, 48),
         (&cluster.warmup_entries, 49),
     ] {
-        metric.fetch_add(value, Ordering::Relaxed);
+        metric.add(value);
     }
-    service.snapshot(26, 27).render_prometheus()
-        + &service.render_histograms()
-        + &transport.snapshot().render_prometheus()
-        + &transport.render_admission_wait()
-        + &cluster.snapshot(3, 2, 1).render_prometheus()
+    let mut page = String::new();
+    service.render(&mut page, 26, 27);
+    transport.render(&mut page);
+    cluster.render(&mut page, 3, 2, 1);
+    page
 }
 
 #[test]
@@ -314,7 +307,7 @@ fn standalone_page_declares_the_pinned_families_in_order() {
         family_lines(&page),
         format!("{LOCAL_FAMILIES}{TIMESERIES_FAMILY}")
     );
-    assert_eq!(family_lines(&page).matches("# TYPE ").count(), 39);
+    assert_eq!(family_lines(&page).matches("# TYPE ").count(), 37);
 }
 
 #[test]
@@ -325,7 +318,7 @@ fn cluster_page_adds_the_cluster_families_before_the_live_plane() {
         family_lines(&page),
         format!("{LOCAL_FAMILIES}{CLUSTER_FAMILIES}{TIMESERIES_FAMILY}")
     );
-    assert_eq!(family_lines(&page).matches("# TYPE ").count(), 51);
+    assert_eq!(family_lines(&page).matches("# TYPE ").count(), 49);
 }
 
 #[test]

@@ -129,9 +129,9 @@ fn keep_alive_serves_two_searches_on_one_connection() {
     assert_eq!(status, 200, "{second}");
     assert!(second.contains("\"cached\":true"), "{second}");
 
-    let transport = server.transport_snapshot();
-    assert_eq!(transport.connections_accepted, 1, "{transport:?}");
-    assert!(transport.keepalive_reuses >= 1, "{transport:?}");
+    let transport = server.transport();
+    assert_eq!(transport.connections_accepted.get(), 1, "{transport:?}");
+    assert!(transport.keepalive_reuses.get() >= 1, "{transport:?}");
 
     // The reuse is also visible on the Prometheus endpoint.
     let (status, metrics) = http_call(&addr, "GET", "/metrics", None).unwrap();
@@ -197,7 +197,7 @@ fn idle_connections_are_closed_by_the_timeout_sweep() {
         "idle close took {:?}",
         started.elapsed()
     );
-    assert!(server.transport_snapshot().idle_closed >= 1);
+    assert!(server.transport().idle_closed.get() >= 1);
 
     server.shutdown();
 }
@@ -231,8 +231,8 @@ fn slow_loris_does_not_block_other_clients() {
     );
 
     // The loris never completed a request, so nothing was dispatched for it.
-    let transport = server.transport_snapshot();
-    assert!(transport.connections_accepted >= 2, "{transport:?}");
+    let transport = server.transport();
+    assert!(transport.connections_accepted.get() >= 2, "{transport:?}");
 
     drop(loris);
     server.shutdown();
@@ -337,7 +337,7 @@ fn trickling_slow_loris_is_reaped_by_the_idle_sweep() {
         trickler.join().unwrap(),
         "the trickler should observe the close"
     );
-    assert!(server.transport_snapshot().idle_closed >= 1);
+    assert!(server.transport().idle_closed.get() >= 1);
 
     server.shutdown();
 }
@@ -428,7 +428,7 @@ fn per_ip_accept_cap_rejects_and_readmits() {
     assert!(
         wait_until_rejected(&server, 1),
         "rejection counter never moved: {:?}",
-        server.transport_snapshot()
+        server.transport()
     );
 
     // Closing one admitted connection frees a slot for the same IP.
@@ -468,7 +468,7 @@ fn per_ip_accept_cap_rejects_and_readmits() {
 fn wait_until_rejected(server: &HttpServer, at_least: u64) -> bool {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
-        if server.transport_snapshot().rejected_per_ip >= at_least {
+        if server.transport().rejected_per_ip.get() >= at_least {
             return true;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -798,7 +798,7 @@ fn http_client_reuses_and_recovers_connections() {
     assert!(client.is_connected());
     let (status, _) = client.call("GET", "/healthz", None).unwrap();
     assert_eq!(status, 200);
-    assert!(server.transport_snapshot().keepalive_reuses >= 1);
+    assert!(server.transport().keepalive_reuses.get() >= 1);
 
     // Let the server idle the connection out, then call again: the client
     // must transparently reconnect rather than surface an error.

@@ -6,6 +6,7 @@
 //! cargo run --release --example service_quickstart
 //! ```
 
+use std::time::Instant;
 use tessel::placement::shapes::{synthetic_placement, ShapeKind};
 use tessel::service::wire::SearchRequest;
 use tessel::service::{ScheduleService, ServiceConfig};
@@ -30,11 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Second, identical request: served from the cache.
+    let sent = Instant::now();
     let hit = service.search(&SearchRequest::for_placement(placement.clone()))?;
     println!(
-        "hit  : cached={} identical schedule={}",
+        "hit  : cached={} identical schedule={} answered in {:.2}ms",
         hit.cached,
-        hit.schedule == miss.schedule
+        hit.schedule == miss.schedule,
+        sent.elapsed().as_secs_f64() * 1e3
     );
 
     // A device-relabeled variant of the same placement still hits, via the
@@ -62,14 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let metrics = service.metrics_snapshot();
+    let metrics = service.metrics();
     println!(
-        "metrics: {} requests, {} hits, {} misses (hit rate {:.0}%), p50 {:.2}ms",
-        metrics.requests,
-        metrics.cache_hits,
-        metrics.cache_misses,
-        metrics.hit_rate * 100.0,
-        metrics.latency_p50_ms
+        "metrics: {} requests, {} hits, {} misses (hit rate {:.0}%)",
+        metrics.requests.get(),
+        metrics.cache_hits.get(),
+        metrics.cache_misses.get(),
+        metrics.hit_rate() * 100.0
     );
     Ok(())
 }
